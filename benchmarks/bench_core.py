@@ -11,7 +11,11 @@ paper experiments end to end):
   graph-keyed analysis cache, and a multi-seed TR sweep asserted to list
   the original graph's triangles exactly once;
 - **chains** — multi-stage ``|`` pipelines whose per-stage cost is now
-  O(m), across graph sizes.
+  O(m), across graph sizes;
+- **algorithms** — the two grid hot spots on weighted RMAT graphs: the
+  Kruskal reference against the vectorized Borůvka MST, and the wedge-join
+  triangle count against the row-blocked sparse ``(L @ L) ∘ L`` count,
+  with outputs asserted equal.
 
 Emits ``BENCH_core.json`` through the shared perf-record machinery
 (:func:`repro.runner.harness.write_perf_record`), so the record carries
@@ -36,11 +40,18 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.mst import boruvka, kruskal
+from repro.algorithms.triangles import (
+    _iter_wedge_blocks,
+    _oriented_arcs,
+    _sparse_triangle_count,
+)
 from repro.analytics.session import Session
 from repro.compress.registry import build_scheme
 from repro.graphs import generators as gen
 from repro.graphs.analysis import analysis_cache, stats_delta
 from repro.graphs.csr import CSRGraph
+from repro.graphs.weights import with_uniform_weights
 from repro.runner.harness import write_perf_record
 
 #: Edge counts exercised by the transform/chain sections.
@@ -180,6 +191,58 @@ def bench_chains(sizes, repeats: int) -> list[dict]:
     return rows
 
 
+def _rmat_graph(m: int, seed: int = 0) -> CSRGraph:
+    """Weighted RMAT graph with at least ``0.9 m`` edges (16+ per vertex);
+    the edge factor grows until enough edges survive deduplication."""
+    scale = max(int(np.log2(m / 16)), 4)
+    factor = m / 2**scale
+    g = gen.rmat(scale, int(np.ceil(factor)), seed=seed)
+    while g.num_edges < 0.9 * m:
+        factor *= 0.95 * m / g.num_edges
+        g = gen.rmat(scale, int(np.ceil(factor)), seed=seed)
+    return with_uniform_weights(g, 1.0, 10.0, seed=seed)
+
+
+def bench_algorithms(sizes, repeats: int) -> list[dict]:
+    """MST and triangle count: reference engine vs. vectorized engine."""
+    rows = []
+    for m in sizes:
+        g = _rmat_graph(m)
+        ref, fast = kruskal(g), boruvka(g)
+        assert np.array_equal(ref.edge_ids, fast.edge_ids)
+        assert ref.total_weight == fast.total_weight
+        assert ref.num_trees == fast.num_trees
+        _oriented_arcs(g)  # both counts share the cached orientation
+
+        def join_count():
+            return sum(len(b[0]) for b in _iter_wedge_blocks(g))
+
+        triangles = join_count()
+        assert _sparse_triangle_count(g) == triangles
+        row = {
+            "n": g.n,
+            "m": g.num_edges,
+            "triangles": triangles,
+            "mst_kruskal_seconds": _best_of(lambda: kruskal(g), repeats),
+            "mst_boruvka_seconds": _best_of(lambda: boruvka(g), repeats),
+            "tc_join_seconds": _best_of(join_count, repeats),
+            "tc_sparse_seconds": _best_of(
+                lambda: _sparse_triangle_count(g), repeats
+            ),
+        }
+        row["mst_speedup"] = row["mst_kruskal_seconds"] / row["mst_boruvka_seconds"]
+        row["tc_speedup"] = row["tc_join_seconds"] / row["tc_sparse_seconds"]
+        rows.append(row)
+        print(
+            f"algorithms m={g.num_edges:>9,}: "
+            f"mst kruskal {row['mst_kruskal_seconds'] * 1e3:8.2f} ms   "
+            f"boruvka {row['mst_boruvka_seconds'] * 1e3:8.2f} ms   "
+            f"tc join {row['tc_join_seconds'] * 1e3:8.2f} ms   "
+            f"sparse {row['tc_sparse_seconds'] * 1e3:8.2f} ms"
+        )
+    return rows
+
+
 def bench_obs_overhead(m: int, repeats: int) -> dict:
     """Instrumentation cost: the spanned transform path, tracer off vs on.
 
@@ -270,6 +333,7 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
         "transforms": bench_transforms(sizes, repeats),
         "triangle_cache": bench_triangle_cache(smoke),
         "chains": bench_chains(sizes, repeats),
+        "algorithms": bench_algorithms(sizes, repeats),
         "obs_overhead": bench_obs_overhead(sizes[-1], max(repeats, 5)),
     }
     largest = perf["transforms"][-1]

@@ -4,11 +4,15 @@ The max-weight Triangle Reduction variant exists precisely to preserve MST
 weight (§4.3, §6.1 "Others"), so the MST weight is a headline accuracy
 metric.  Two engines:
 
-- :func:`kruskal` — sort + union-find, the exact reference;
-- :func:`boruvka` — round-based, each round vectorized (min edge per
-  component via ``np.minimum.at``), the parallel-flavored engine.
+- :func:`boruvka` — the default engine: vectorized rounds (minimum
+  crossing edge per component via ``np.minimum.at``, hooking, pointer
+  jumping), no per-edge Python loop;
+- :func:`kruskal` — sort + union-find, the exact reference
+  (``mst(method=kruskal)``).
 
-Both return a minimum spanning *forest* on disconnected graphs.
+Both rank edges by (weight, edge id), a strict total order under which
+the minimum spanning *forest* is unique, so the two return bit-identical
+results on every graph, disconnected ones included.
 """
 
 from __future__ import annotations
@@ -94,49 +98,64 @@ def kruskal(g: CSRGraph) -> MSTResult:
 
 
 def boruvka(g: CSRGraph) -> MSTResult:
-    """Borůvka rounds: every component picks its cheapest outgoing edge.
+    """Vectorized Borůvka rounds; returns exactly what :func:`kruskal` does.
 
-    O(log n) rounds, each a vectorized pass over all edges.  Ties broken by
-    edge id so the forest matches :func:`kruskal` on distinct weights.
+    Edges are ranked by (weight, edge id), a strict total order under which
+    the minimum spanning forest is unique.  Each round every component
+    takes its minimum-rank crossing edge (``np.minimum.at``) and hooks onto
+    the component across it; the only cycles such hooks can form are
+    mutual picks of one shared edge, which are broken by keeping the
+    smaller component as root.  Pointer jumping then contracts the hook
+    forest, and edges that became internal are dropped for good.  There is
+    no per-edge or per-vertex Python loop, and O(log n) rounds.
+
+    The forest is returned in Kruskal's form: edge ids in rank order and
+    the weight summed one edge at a time in that order, so every field is
+    bit-identical to :func:`kruskal`.
     """
     if g.directed:
         raise ValueError("MST is defined for undirected graphs")
     n, m = g.n, g.num_edges
     w = _weights(g)
-    uf = UnionFind(n)
-    chosen_mask = np.zeros(m, dtype=bool)
-    src, dst = g.edge_src, g.edge_dst
-    eid = np.arange(m, dtype=np.int64)
-    labels = np.arange(n, dtype=np.int64)
+    order = np.lexsort((np.arange(m), w))  # rank -> edge id
+    # Live crossing edges in rank order: endpoint component ids and rank.
+    a, b = g.edge_src[order], g.edge_dst[order]
+    rank = np.arange(m, dtype=np.int64)
+    picked = [np.empty(0, dtype=np.int64)]
     while True:
-        cs, cd = labels[src], labels[dst]
-        crossing = cs != cd
-        if not crossing.any():
+        live = a != b
+        a, b, rank = a[live], b[live], rank[live]
+        if not len(rank):
             break
-        ce = eid[crossing]
-        key = w[crossing]
-        # Cheapest crossing edge per component.  Each crossing edge is a
-        # candidate for both endpoint components; after sorting candidates
-        # by (weight, edge id), the per-component winner is the first
-        # occurrence (np.unique keeps first indices).
-        comp_all = np.concatenate([cs[crossing], cd[crossing]])
-        edge_all = np.concatenate([ce, ce])
-        key_all = np.concatenate([key, key])
-        order = np.lexsort((edge_all, key_all))
-        uniq, first = np.unique(comp_all[order], return_index=True)
-        picked = np.unique(edge_all[order][first])
-        # Contract via union-find: a picked edge may close a pseudo-cycle
-        # when two components pick the same edge; union() filters those.
-        for e in picked:
-            if uf.union(int(src[e]), int(dst[e])):
-                chosen_mask[e] = True
-        labels = np.array([uf.find(x) for x in range(n)], dtype=np.int64)
-    chosen = np.flatnonzero(chosen_mask)
-    roots = len(np.unique(labels))
+        # Positions follow rank order, so the minimum position per
+        # component is its minimum-rank crossing edge.
+        best = np.full(n, len(rank), dtype=np.int64)
+        pos = np.arange(len(rank), dtype=np.int64)
+        np.minimum.at(best, a, pos)
+        np.minimum.at(best, b, pos)
+        comps = np.flatnonzero(best < len(rank))
+        at = best[comps]
+        other = np.where(a[at] == comps, b[at], a[at])
+        parent = np.arange(n, dtype=np.int64)
+        parent[comps] = other
+        # Two components that picked the same edge point at each other;
+        # the smaller one stays a root and the edge is recorded once.
+        root = (parent[other] == comps) & (comps < other)
+        parent[comps[root]] = comps[root]
+        picked.append(rank[at[~root]])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        a, b = parent[a], parent[b]
+    chosen = order[np.sort(np.concatenate(picked))]
+    # Sequential accumulation rounds exactly like Kruskal's running total.
+    total = float(np.cumsum(w[chosen])[-1]) if len(chosen) else 0.0
     return MSTResult(
         edge_ids=chosen,
-        total_weight=float(w[chosen].sum()),
-        num_trees=roots,
+        total_weight=total,
+        num_trees=n - len(chosen),
     )
 
 
@@ -145,10 +164,10 @@ def boruvka(g: CSRGraph) -> MSTResult:
     adapter="scalar",
     aliases=("minimum_spanning_forest",),
     extract=lambda res: res.total_weight,
-    summary="minimum-spanning-forest weight (Kruskal / Borůvka)",
-    example="mst(method=kruskal)",
+    summary="minimum-spanning-forest weight (vectorized Borůvka; Kruskal reference)",
+    example="mst(method=boruvka)",
 )
-def minimum_spanning_forest(g: CSRGraph, *, method: str = "kruskal") -> MSTResult:
+def minimum_spanning_forest(g: CSRGraph, *, method: str = "boruvka") -> MSTResult:
     if method == "kruskal":
         return kruskal(g)
     if method == "boruvka":

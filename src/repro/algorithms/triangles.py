@@ -6,7 +6,11 @@ compression", so exact listing is on the compression hot path.  We use the
 lower-ranked to the higher-ranked endpoint (rank = (degree, id)), then for
 every oriented edge (u, v) intersect the out-neighborhoods of u and v.
 Work is O(m^{3/2}) — exactly the complexity the paper quotes for TR — and
-each triangle is emitted exactly once.
+each triangle is emitted exactly once.  Counting alone needs no listing:
+with ``L`` the oriented adjacency, the count is ``sum((L @ L) ∘ L)``,
+taken as row-blocked scipy sparse products.  Both the join and the count
+work in blocks cut by cumulative wedge count, so peak memory is bounded
+by wedges, not arcs.
 
 Approximate counters (DOULION edge sparsification and wedge sampling,
 §4.3's "numerous approximate schemes") are provided for the accuracy
@@ -118,7 +122,34 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_WEDGE_CHUNK = 1 << 21  # arcs per block: bounds peak wedge-buffer memory
+#: Wedges per block: bounds the peak wedge-buffer memory of the listing
+#: join and the sparse count's row-block products.
+_WEDGE_BLOCK = 1 << 21
+
+
+def _wedge_ranges(cum: np.ndarray) -> list[tuple[int, int]]:
+    """Cut items into consecutive ``[lo, hi)`` ranges by wedge count.
+
+    ``cum[i]`` is the number of wedges before item ``i`` (length
+    items + 1).  Each range holds at most :data:`_WEDGE_BLOCK` wedges,
+    except that an item heavier than the bound gets a range of its own.
+    """
+    ranges = []
+    lo, k = 0, len(cum) - 1
+    while lo < k:
+        hi = int(np.searchsorted(cum, cum[lo] + _WEDGE_BLOCK, side="right")) - 1
+        hi = min(max(hi, lo + 1), k)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
+def _arc_wedges(optr: np.ndarray, onbr: np.ndarray) -> np.ndarray:
+    """Cumulative wedge count over oriented arcs: arc (u, v) opens
+    out-degree(v) wedges, so ``cum[i]`` counts the wedges of arcs < i."""
+    cum = np.zeros(len(onbr) + 1, dtype=np.int64)
+    np.cumsum(optr[onbr + 1] - optr[onbr], out=cum[1:])
+    return cum
 
 
 def _iter_wedge_blocks(g: CSRGraph):
@@ -127,14 +158,13 @@ def _iter_wedge_blocks(g: CSRGraph):
     For every oriented arc (u, v), all candidate wedges (u, v, w ∈ N⁺(v))
     are materialized with one scatter-gather, then closed-wedge membership
     (u, w) ∈ E⁺ is tested with one sorted-key search.  No per-edge Python
-    loop; arcs are processed in blocks so memory stays bounded.
+    loop; arcs are processed in blocks of bounded wedge count so memory
+    stays bounded.
     """
     optr, onbr, arc_u, sorted_keys = _oriented_arcs(g)
     arc_v = onbr
-    m_arcs = len(arc_v)
 
-    for lo in range(0, m_arcs, _WEDGE_CHUNK):
-        hi = min(lo + _WEDGE_CHUNK, m_arcs)
+    for lo, hi in _wedge_ranges(_arc_wedges(optr, onbr)):
         u_blk, v_blk = arc_u[lo:hi], arc_v[lo:hi]
         counts = optr[v_blk + 1] - optr[v_blk]
         total = int(counts.sum())
@@ -153,6 +183,29 @@ def _iter_wedge_blocks(g: CSRGraph):
         )
         if closed.any():
             yield us[closed], vs[closed], ws[closed]
+
+
+def _sparse_triangle_count(g: CSRGraph) -> int:
+    """``sum((L @ L) ∘ L)`` over the degree-oriented adjacency ``L``.
+
+    ``(L @ L)[u, w]`` counts the wedges u→v→w and ``L[u, w]`` closes
+    them, so the masked sum counts every triangle once.  Rows are taken
+    in blocks of bounded wedge count, which bounds each block product.
+    """
+    optr, onbr, _, _ = _oriented_arcs(g)
+    row_cum = _arc_wedges(optr, onbr)[optr]
+    if row_cum[-1] == 0:
+        return 0
+    import scipy.sparse as sp
+
+    L = sp.csr_matrix(
+        (np.ones(len(onbr), dtype=np.int64), onbr, optr), shape=(g.n, g.n)
+    )
+    total = 0
+    for lo, hi in _wedge_ranges(row_cum):
+        rows = L[lo:hi]
+        total += int((rows @ L).multiply(rows).sum())
+    return total
 
 
 @cached_analysis("triangle_list")
@@ -192,24 +245,23 @@ def list_triangles(g: CSRGraph) -> TriangleList:
     "count_triangles",
     adapter="scalar",
     aliases=("tc",),
-    summary="exact global triangle count (forward wedge join, O(m^{3/2}))",
+    summary="exact global triangle count (sum((L @ L) ∘ L), L = degree-oriented adjacency)",
     example="tc",
 )
 def count_triangles(g: CSRGraph) -> int:
-    """Exact triangle count; the same wedge join, count-only.
+    """Exact triangle count as a Python ``int``.
 
     Reuses a cached triangle list when one exists (e.g. after TR
-    compression of the same graph); otherwise runs the count-only join —
-    which never materializes the (T, 3) arrays — and caches the scalar.
+    compression of the same graph); otherwise counts with the row-blocked
+    sparse product of :func:`_sparse_triangle_count` — which materializes
+    neither the wedge list nor the (T, 3) arrays — and caches the scalar.
     """
     if g.directed:
         raise ValueError("triangle counting expects an undirected graph")
     cached = analysis_cache().peek(g, "triangle_list")
     if cached is not None:
         return cached.count
-    return analysis_cache().lookup(
-        g, "triangle_count", lambda h: sum(len(b[0]) for b in _iter_wedge_blocks(h))
-    )
+    return analysis_cache().lookup(g, "triangle_count", _sparse_triangle_count)
 
 
 @register_algorithm(

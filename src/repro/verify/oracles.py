@@ -477,7 +477,7 @@ ORACLES: dict[str, OracleEntry] = {
             oracle=lambda g: float(oracle_triangle_count(g)),
             compare=lambda a, b: compare_scalar(a, b, exact=True),
             directed_ok=False,
-            summary="forward wedge join vs set intersections",
+            summary="sparse (L @ L) ∘ L count vs set intersections",
         ),
         OracleEntry(
             name="clustering",
@@ -504,7 +504,7 @@ ORACLES: dict[str, OracleEntry] = {
             oracle=lambda g: oracle_mst_weight(g),
             compare=compare_scalar,
             directed_ok=False,
-            summary="Borůvka forest weight vs sorted-edge dict union-find",
+            summary="vectorized Borůvka forest weight vs sorted-edge dict union-find",
         ),
         OracleEntry(
             name="kcore",

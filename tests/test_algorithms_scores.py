@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.betweenness import betweenness_centrality
+from repro.algorithms import triangles
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.triangles import (
     approx_count_doulion,
@@ -16,8 +17,17 @@ from repro.algorithms.triangles import (
     triangles_per_vertex,
 )
 from repro.graphs import generators as gen
+from repro.graphs.analysis import analysis_cache
 from repro.graphs.csr import CSRGraph
+from repro.verify.fuzz import FAMILIES
+from repro.verify.oracles import oracle_triangle_count
 from tests.conftest import to_networkx
+
+FAMILY_GRAPHS = [
+    (f"{name}.s{seed}", build(seed))
+    for name, build in FAMILIES.items()
+    for seed in (0, 1)
+]
 
 
 class TestPageRank:
@@ -117,6 +127,91 @@ class TestTriangles:
         g = CSRGraph.from_edges(3, [0], [1], directed=True)
         with pytest.raises(ValueError):
             count_triangles(g)
+
+
+def _fresh_count(g):
+    """count_triangles with nothing cached for ``g``."""
+    analysis_cache().forget(g)
+    return count_triangles(g)
+
+
+def _fresh_listing(g):
+    analysis_cache().forget(g)
+    return list_triangles(g)
+
+
+class TestSparseTriangleCount:
+    """The row-blocked sparse count against the join and the oracle."""
+
+    @pytest.mark.parametrize(
+        "case,g", FAMILY_GRAPHS, ids=[c for c, _ in FAMILY_GRAPHS]
+    )
+    def test_every_family(self, case, g):
+        count = _fresh_count(g)
+        assert type(count) is int
+        assert count == len(_fresh_listing(g)) == oracle_triangle_count(g)
+
+    @pytest.mark.parametrize("bound", [1, 3, 40])
+    def test_small_wedge_bound_forces_blocks(self, monkeypatch, plc300, bound):
+        count = _fresh_count(plc300)
+        listing = _fresh_listing(plc300)
+        monkeypatch.setattr(triangles, "_WEDGE_BLOCK", bound)
+        optr, onbr, _, _ = triangles._oriented_arcs(plc300)
+        assert len(triangles._wedge_ranges(triangles._arc_wedges(optr, onbr))) > 10
+        assert _fresh_count(plc300) == count
+        blocked = _fresh_listing(plc300)
+        assert np.array_equal(blocked.vertices, listing.vertices)
+        assert np.array_equal(blocked.edge_ids, listing.edge_ids)
+
+    def test_single_arc_above_bound(self, monkeypatch):
+        # With a bound of 2 wedges the K9 arcs into high-rank vertices
+        # exceed it and each must sit in a block of its own.
+        g = gen.disjoint_union(gen.complete_graph(9), gen.star_graph(12))
+        expected = 9 * 8 * 7 // 6
+        monkeypatch.setattr(triangles, "_WEDGE_BLOCK", 2)
+        optr, onbr, _, _ = triangles._oriented_arcs(g)
+        cum = triangles._arc_wedges(optr, onbr)
+        assert (np.diff(cum) > 2).any()
+        assert _fresh_count(g) == expected
+        assert len(_fresh_listing(g)) == expected
+
+    def test_wedge_ranges_cut(self, monkeypatch):
+        monkeypatch.setattr(triangles, "_WEDGE_BLOCK", 3)
+        cum = np.array([0, 0, 5, 6, 6, 20])
+        ranges = triangles._wedge_ranges(cum)
+        assert ranges == [(0, 1), (1, 2), (2, 4), (4, 5)]
+        for lo, hi in ranges:
+            assert hi - lo == 1 or cum[hi] - cum[lo] <= 3
+        assert triangles._wedge_ranges(np.zeros(1, dtype=np.int64)) == []
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            CSRGraph.from_edges(0, [], []),
+            CSRGraph.from_edges(5, [], []),
+            gen.path_graph(2),
+        ],
+        ids=["n0", "edgeless", "one-edge"],
+    )
+    def test_no_wedges(self, g):
+        count = _fresh_count(g)
+        assert type(count) is int and count == 0
+
+    def test_cached_listing_is_used(self, monkeypatch, plc300):
+        tl = _fresh_listing(plc300)
+
+        def boom(g):
+            raise AssertionError("count recomputed despite a cached listing")
+
+        monkeypatch.setattr(triangles, "_sparse_triangle_count", boom)
+        assert count_triangles(plc300) == tl.count
+        assert analysis_cache().peek(plc300, "triangle_count") is None
+
+    def test_count_is_cached(self, monkeypatch, plc300):
+        count = _fresh_count(plc300)
+        monkeypatch.setattr(triangles, "_sparse_triangle_count", lambda g: -1)
+        assert count_triangles(plc300) == count
+        assert analysis_cache().peek(plc300, "triangle_count") == count
 
 
 class TestBetweenness:

@@ -4,6 +4,7 @@ arboricity — against networkx oracles and known closed forms."""
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.arboricity import estimate_arboricity
 from repro.algorithms.coloring import coloring_number, greedy_coloring
@@ -19,7 +20,23 @@ from repro.algorithms.spectrum import (
     spectral_distance,
 )
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
+from repro.graphs.weights import with_uniform_weights
 from tests.conftest import to_networkx
+
+
+def assert_same_forest(g):
+    """Borůvka must return exactly Kruskal's forest: ids, total, trees."""
+    a, b = kruskal(g), boruvka(g)
+    assert np.array_equal(a.edge_ids, b.edge_ids)
+    assert b.edge_ids.dtype == np.int64
+    assert a.total_weight == b.total_weight
+    assert a.num_trees == b.num_trees
+
+
+def _repeated_weights(g, levels, seed):
+    rng = np.random.default_rng(seed)
+    return g.with_weights(rng.integers(1, levels + 1, g.num_edges).astype(float))
 
 
 class TestMST:
@@ -28,9 +45,7 @@ class TestMST:
         assert kruskal(weighted300).total_weight == pytest.approx(truth)
 
     def test_boruvka_matches_kruskal(self, weighted300):
-        assert boruvka(weighted300).total_weight == pytest.approx(
-            kruskal(weighted300).total_weight
-        )
+        assert boruvka(weighted300).total_weight == kruskal(weighted300).total_weight
         assert boruvka(weighted300).num_trees == kruskal(weighted300).num_trees
 
     def test_forest_on_disconnected(self):
@@ -52,6 +67,84 @@ class TestMST:
         assert a.total_weight == pytest.approx(b.total_weight)
         with pytest.raises(ValueError):
             minimum_spanning_forest(weighted300, method="prim")
+
+    def test_default_method_is_boruvka(self, monkeypatch, weighted300):
+        from repro.algorithms import mst
+
+        ref = kruskal(weighted300)
+        monkeypatch.setattr(mst, "kruskal", lambda g: pytest.fail("ran kruskal"))
+        res = minimum_spanning_forest(weighted300)
+        assert np.array_equal(res.edge_ids, ref.edge_ids)
+        assert res.total_weight == ref.total_weight
+
+
+class TestBoruvkaBitIdentity:
+    """The vectorized Borůvka is bit-identical to the Kruskal reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted(self, seed):
+        g = gen.powerlaw_cluster(400, 4, 0.5, seed=seed)
+        assert_same_forest(with_uniform_weights(g, 1.0, 10.0, seed=seed))
+
+    @pytest.mark.parametrize("levels", [1, 2, 5])
+    def test_repeated_weights(self, levels):
+        g = gen.erdos_renyi(300, m=1200, seed=levels)
+        assert_same_forest(_repeated_weights(g, levels, seed=levels))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen.rmat(9, 8, seed=3),
+            gen.grid_2d(12, 9),
+            gen.complete_graph(12),
+            gen.star_graph(30),
+        ],
+        ids=["rmat", "grid", "complete", "star"],
+    )
+    def test_unweighted_all_ties(self, g):
+        assert not g.is_weighted
+        assert_same_forest(g)
+
+    def test_disconnected_with_isolated_vertices(self):
+        g = gen.disjoint_union(
+            gen.path_graph(6),
+            CSRGraph.from_edges(4, [], []),
+            gen.cycle_graph(7),
+            gen.complete_graph(5),
+        )
+        assert_same_forest(g)
+        assert_same_forest(_repeated_weights(g, 2, seed=1))
+        assert boruvka(g).num_trees == 4 + 3
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_edgeless(self, n):
+        g = CSRGraph.from_edges(n, [], [])
+        assert_same_forest(g)
+        res = boruvka(g)
+        assert res.edge_ids.shape == (0,)
+        assert res.total_weight == 0.0
+        assert res.num_trees == n
+
+    def test_directed_raises(self):
+        g = CSRGraph.from_edges(3, [0, 1], [1, 2], directed=True)
+        with pytest.raises(ValueError):
+            boruvka(g)
+
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(0, 150),
+        levels=st.integers(0, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, n, m, levels, seed):
+        """levels = 0 leaves the graph unweighted; otherwise weights take
+        ``levels`` distinct values, so ties are common."""
+        rng = np.random.default_rng(seed)
+        g = CSRGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        if levels:
+            g = _repeated_weights(g, levels, seed)
+        assert_same_forest(g)
 
 
 class TestMatching:
