@@ -19,7 +19,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analytics.report import format_table
-from repro.compress.registry import make_scheme
+from repro.compress.registry import build_scheme
 
 GRAPH = "v-ewk"
 
@@ -30,27 +30,27 @@ def graph(graph_cache):
 
 
 def test_time_uniform(benchmark, graph):
-    scheme = make_scheme("uniform(p=0.5)")
+    scheme = build_scheme("uniform(p=0.5)")
     benchmark(lambda: scheme.compress(graph, seed=0))
 
 
 def test_time_spectral(benchmark, graph):
-    scheme = make_scheme("spectral(p=0.5)")
+    scheme = build_scheme("spectral(p=0.5)")
     benchmark(lambda: scheme.compress(graph, seed=0))
 
 
 def test_time_spanner(benchmark, graph):
-    scheme = make_scheme("spanner(k=8)")
+    scheme = build_scheme("spanner(k=8)")
     benchmark(lambda: scheme.compress(graph, seed=0))
 
 
 def test_time_triangle_reduction(benchmark, graph):
-    scheme = make_scheme("0.5-1-TR")
+    scheme = build_scheme("0.5-1-TR")
     benchmark(lambda: scheme.compress(graph, seed=0))
 
 
 def test_time_summarization(benchmark, graph):
-    scheme = make_scheme("summarization(epsilon=0.3)")
+    scheme = build_scheme("summarization(epsilon=0.3)")
     benchmark(lambda: scheme.compress(graph, seed=0))
 
 
@@ -63,7 +63,7 @@ def run_ordering(graph, results_dir):
         ("tr", "0.5-1-TR"),
         ("summarization", "summarization(epsilon=0.3)"),
     ]:
-        scheme = make_scheme(spec)
+        scheme = build_scheme(spec)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()

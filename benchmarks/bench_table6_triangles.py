@@ -14,7 +14,7 @@ from __future__ import annotations
 from benchmarks.conftest import emit
 from repro.algorithms.triangles import count_triangles
 from repro.analytics.report import format_table
-from repro.compress.registry import make_scheme
+from repro.compress.registry import build_scheme
 
 GRAPHS = [
     "s-you", "s-flx", "s-flc", "s-cds", "s-lib", "s-pok",
@@ -46,7 +46,7 @@ def run_table6(graph_cache, results_dir):
         row = [gname, original]
         per_vertex[(gname, "orig")] = original
         for spec, _ in SCHEMES:
-            sub = make_scheme(spec).compress(g, seed=4).graph
+            sub = build_scheme(spec).compress(g, seed=4).graph
             value = count_triangles(sub) / g.n
             row.append(value)
             per_vertex[(gname, spec)] = value

@@ -16,7 +16,7 @@ Run:  python examples/road_network_shortest_paths.py
 
 import numpy as np
 
-from repro import datasets, make_scheme
+from repro import build_scheme, datasets
 from repro.algorithms import dijkstra, minimum_spanning_forest
 
 
@@ -29,7 +29,7 @@ def main() -> None:
     base_mst = minimum_spanning_forest(road).total_weight
 
     for spec in ["0.9-1-TR", "spanner(k=4)"]:
-        result = make_scheme(spec).compress(road, seed=1)
+        result = build_scheme(spec).compress(road, seed=1)
         sub = result.graph
 
         sp = dijkstra(sub, source)

@@ -12,9 +12,8 @@ delivers on its promise.
 Run:  python examples/scheme_selection.py
 """
 
-from repro import Session, datasets, make_scheme
+from repro import Session, build_scheme, datasets
 from repro.analytics import recommend
-from repro.analytics.evaluation import AlgorithmSpec
 
 
 def pick_and_verify(graph, graph_label, preserve, measure) -> None:
@@ -31,7 +30,7 @@ def pick_and_verify(graph, graph_label, preserve, measure) -> None:
         note = rec.caveat or rec.rationale
         print(f"  [{flag}] {rec.scheme_spec:34s} {note[:60]}")
     best = next(r for r in recs if r.feasible)
-    scheme = make_scheme(best.scheme_spec)
+    scheme = build_scheme(best.scheme_spec)
     result = scheme.compress(graph, seed=0)
     label, value = measure(graph, result.graph)
     print(
@@ -67,12 +66,12 @@ def main() -> None:
     # algorithm runs across all three parameter values.
     print("--- step 3: parameter sweep for spanner storage on s-cds ---")
     rows = Session(social, seed=0).sweep(
-        [f"spanner(k={k})" for k in (2, 8, 32)],
-        algorithms=[AlgorithmSpec("m", lambda g: g.num_edges, "scalar")],
+        [f"spanner(k={k})" for k in (2, 8, 32)], algorithms=["cc"]
     )
     for row in rows:
         print(
-            f"  k={int(row.parameter):3d}: kept {row.compression_ratio:6.1%} of edges"
+            f"  k={int(row.parameter):3d}: kept {row.compression_ratio:6.1%} of edges, "
+            f"#CC relative change {row.metric_value:+.3f}"
         )
 
 

@@ -20,7 +20,7 @@ Run:  python examples/social_network_analysis.py
 
 import numpy as np
 
-from repro import datasets, make_scheme
+from repro import build_scheme, datasets
 from repro.algorithms import (
     connected_components,
     greedy_matching,
@@ -34,7 +34,7 @@ def main() -> None:
     graph = datasets.load("s-cds", seed=0)
     print(f"social network: {graph} (T/n is high: dense pet communities)\n")
 
-    scheme = make_scheme("EO-0.8-1-TR")
+    scheme = build_scheme("EO-0.8-1-TR")
     result = scheme.compress(graph, seed=1)
     compressed = result.graph
     print(

@@ -59,7 +59,6 @@ from repro.compress import (
     CutSparsifier,
     ClusteredLowRankApproximation,
     build_scheme,
-    make_scheme,
     register_scheme,
     registered_schemes,
 )
@@ -103,8 +102,6 @@ from repro.analytics import (
     ScoreReport,
     Session,
     SweepTable,
-    evaluate_scheme,
-    sweep,
 )
 from repro import theory
 from repro import distributed
@@ -133,7 +130,6 @@ __all__ = [
     "SchemeSpec",
     "StageRecord",
     "Chain",
-    "make_scheme",
     "build_scheme",
     "register_scheme",
     "registered_schemes",
@@ -170,8 +166,6 @@ __all__ = [
     "build_algorithm",
     "register_metric",
     "registered_metrics",
-    "evaluate_scheme",
-    "sweep",
     "theory",
     "distributed",
     "runner",

@@ -19,9 +19,7 @@ configurations compare equal regardless of which surface spelled them.
 
 This class intentionally shares its grammar with
 :class:`repro.compress.spec.SchemeSpec` (minus pipelines and TR labels,
-which have no algorithm analogue); the legacy *executable* triple
-:class:`repro.analytics.evaluation.AlgorithmSpec` (name, fn, kind) remains
-as a deprecated shim for hand-rolled battery entries.
+which have no algorithm analogue).
 """
 
 from __future__ import annotations

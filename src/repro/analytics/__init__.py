@@ -1,14 +1,7 @@
-"""Analytics subsystem: evaluation harness, sweeps, report rendering."""
+"""Analytics subsystem: evaluation session, grids, sweeps, report rendering."""
 
-from repro.analytics.evaluation import (
-    AlgorithmSpec,
-    EvaluationRecord,
-    evaluate_scheme,
-    default_algorithms,
-)
 from repro.analytics.grid import GridCell, SweepTable
 from repro.analytics.session import CompressedRun, ScoreReport, Session, SweepRow
-from repro.analytics.tradeoff import sweep
 from repro.analytics.report import format_table, write_csv
 from repro.analytics.guidance import Recommendation, recommend, PRESERVABLE_PROPERTIES
 from repro.analytics.storage import StorageReport, storage_report
@@ -24,12 +17,7 @@ __all__ = [
     "PRESERVABLE_PROPERTIES",
     "StorageReport",
     "storage_report",
-    "AlgorithmSpec",
-    "EvaluationRecord",
-    "evaluate_scheme",
-    "default_algorithms",
     "SweepRow",
-    "sweep",
     "format_table",
     "write_csv",
 ]

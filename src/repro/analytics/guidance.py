@@ -5,7 +5,7 @@ The paper's recipe: (1) consult Table 3 and pick the scheme with the best
 accuracy for the property you need preserved, (2) verify the scheme is
 feasible for your graph (weighted/directed support, size), (3) pick
 parameters from the Fig. 5 sweeps.  :func:`recommend` encodes steps 1–2;
-step 3 remains :func:`repro.analytics.tradeoff.sweep`.
+step 3 is :meth:`repro.analytics.session.Session.sweep`.
 
 The ranking below is the paper's own Table 3 + §6.3 discussion distilled:
 each property maps to schemes ordered best-first, each with the paper's
@@ -143,7 +143,7 @@ def recommend(
         availability) is checked against this graph.
     p, k, eps:
         Default parameters substituted into the returned specs; tune with
-        :func:`repro.analytics.tradeoff.sweep` (§7.5 step 3).
+        :meth:`repro.analytics.session.Session.sweep` (§7.5 step 3).
     """
     if preserve not in _RANKINGS:
         raise ValueError(

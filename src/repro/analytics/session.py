@@ -15,8 +15,7 @@ matter how many schemes are scored against it::
         .run(pagerank)
         .score(["kl"])
     )
-    records, compressed = session.evaluate("EO-0.8-1-TR")   # battery reuses baselines
-    table = session.grid(
+    table = session.grid(            # every scheme reuses the baselines
         ["uniform(p=0.5)", "spanner(k=8)", "EO-0.8-1-TR"],
         ["pr", "cc", "tc", "sssp"],
     )
@@ -36,14 +35,13 @@ vertex mapping (:func:`repro.compress.mappings.vertex_alignment`) before
 scoring, so KL / reordered-pair numbers compare each original vertex with
 the compressed vertex that carries it instead of zero-padding the tail.
 
-The legacy free functions (:func:`repro.analytics.evaluation.
-evaluate_scheme`, :func:`repro.analytics.tradeoff.sweep`) are deprecated
-shims over this class.
+Every :meth:`Session.grid` (and every :meth:`Session.sweep`, a view over
+grid cells) runs through :func:`repro.runner.parallel.run_grid` — inline
+for ``jobs <= 1``, on a process pool otherwise, with or without a store.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -53,17 +51,11 @@ from repro.obs.spans import enable_tracing, span as _span, tracer as _tracer
 
 from repro.algorithms.adapters import get_adapter
 from repro.algorithms.registry import BoundAlgorithm, build_algorithm
-from repro.algorithms.spec import AlgorithmSpec as DeclarativeAlgorithmSpec
-from repro.analytics.evaluation import (
-    AlgorithmSpec,
-    EvaluationRecord,
-    default_algorithms,
-)
+from repro.algorithms.spec import AlgorithmSpec
 from repro.analytics.grid import GridCell, SweepTable
 from repro.compress.base import CompressionResult, CompressionScheme
 from repro.compress.mappings import vertex_alignment
 from repro.compress.registry import build_scheme, get_entry
-from repro.graphs.analysis import analysis_cache, stats_delta
 from repro.graphs.csr import CSRGraph
 from repro.metrics.registry import (
     MetricContext,
@@ -91,10 +83,10 @@ def _spec_label(scheme) -> str:
 class _Runner:
     """Uniform execution wrapper over the two algorithm surfaces.
 
-    Normalizes a legacy executable :class:`AlgorithmSpec` (name, fn, kind)
-    or a registry-bound :class:`BoundAlgorithm` into the one shape the
-    session needs: a cache key, display labels, a callable, a result
-    adapter, and the output canonicalizer.
+    Normalizes a bare callable (``.run(pagerank)``) or a registry-bound
+    :class:`BoundAlgorithm` into the one shape the session needs: a cache
+    key, display labels, a callable, a result adapter, and the output
+    canonicalizer.
     """
 
     __slots__ = ("key", "name", "label", "fn", "adapter", "extract", "execute", "root")
@@ -111,24 +103,6 @@ class _Runner:
         self.root = root
 
     @classmethod
-    def of_legacy(cls, spec: AlgorithmSpec) -> "_Runner":
-        try:
-            adapter = get_adapter(spec.kind)
-        except ValueError:
-            raise ValueError(f"unknown algorithm kind {spec.kind!r}") from None
-        return cls(
-            key=(spec.name, spec.kind),
-            name=spec.name,
-            label=spec.name,
-            fn=spec.fn,
-            adapter=adapter,
-            extract=adapter.canonicalize,
-            # The legacy "bfs" battery entry carries no real computation —
-            # its metric runs its own paired traversals at score time.
-            execute=spec.kind != "bfs",
-        )
-
-    @classmethod
     def of_bound(cls, bound: BoundAlgorithm) -> "_Runner":
         traversal = bound.adapter.name == "traversal"
         return cls(
@@ -140,7 +114,7 @@ class _Runner:
             extract=bound.extract,
             # Traversal outputs are never read — the metric runs its own
             # paired traversals — so skip the redundant executions (and
-            # the baseline cache entry) exactly as the legacy path does.
+            # the baseline cache entry).
             execute=not traversal,
             root=bound.spec.params.get("source") if traversal else None,
         )
@@ -270,9 +244,10 @@ class CompressedRun:
         ``algorithm`` may be a callable (``pagerank``), a registry name or
         spec string (``"pr"``, ``"pagerank(iterations=50)"``,
         ``"sssp(source=0)"``), an :class:`~repro.algorithms.spec.
-        AlgorithmSpec`, a :class:`~repro.algorithms.registry.
-        BoundAlgorithm`, or a legacy executable :class:`AlgorithmSpec`;
-        extra positional algorithms queue in one call:
+        AlgorithmSpec`, or a :class:`~repro.algorithms.registry.
+        BoundAlgorithm`; a callable's output is read as ``kind`` (a result
+        adapter name, default ``"distribution"``) and labeled ``name``.
+        Extra positional algorithms queue in one call:
         ``.run(pagerank, "cc")``.
         """
         for alg in (algorithm, *more):
@@ -348,64 +323,11 @@ class CompressedRun:
             scores[alg_name] = out
         return ScoreReport(scores)
 
-    # -- the §5 battery ---------------------------------------------------- #
-
-    def evaluate(self, algorithms: list | None = None) -> list[EvaluationRecord]:
-        """Run the metric battery; original runs come from the cache."""
-        session = self.session
-        runners = (
-            [session._as_runner(alg) for alg in algorithms]
-            if algorithms is not None
-            else session._battery_runners()
-        )
-        ctx = self._context()
-        records: list[EvaluationRecord] = []
-        for runner in runners:
-            metric = resolve_metric(runner.adapter.default_metric)
-            run = None
-            if not runner.execute:
-                # Legacy battery BFS: the metric is the whole computation;
-                # split its cost over the two graph columns.
-                start = time.perf_counter()
-                value = float(metric.fn(ctx, None, None))
-                elapsed = time.perf_counter() - start
-                records.append(
-                    EvaluationRecord(
-                        algorithm=runner.label,
-                        kind=runner.adapter.legacy_kind,
-                        metric_name=metric.name,
-                        metric_value=value,
-                        original_seconds=elapsed / 2,
-                        compressed_seconds=elapsed / 2,
-                    )
-                )
-                continue
-            out0, t0 = session.baseline(runner)
-            out1, t1 = _timed(runner.fn, self.graph)
-            run = _AlgorithmRun(runner, out0, t0, out1, t1)
-            records.append(
-                EvaluationRecord(
-                    algorithm=runner.label,
-                    kind=runner.adapter.legacy_kind,
-                    metric_name=metric.name,
-                    metric_value=self._metric_value(metric, run, ctx),
-                    original_seconds=t0,
-                    compressed_seconds=t1,
-                    original_value=out0,
-                    compressed_value=out1,
-                )
-            )
-        return records
-
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tradeoff data point (a Fig. 5 cell).
-
-    The historical :class:`repro.analytics.tradeoff.SweepRow` plus the
-    generating ``scheme_spec``; re-exported from there for back
-    compatibility.
-    """
+    """One tradeoff data point (a Fig. 5 cell), labeled with the
+    generating ``scheme_spec``."""
 
     parameter: float
     algorithm: str
@@ -516,11 +438,11 @@ class Session:
             if not isinstance(trace, bool):
                 self.trace_path = trace
         #: Execution statistics of the most recent :meth:`grid` call
-        #: ({} until one runs): cache_hits/cache_misses, compress_seconds,
-        #: wall_seconds, jobs, and the structural-analysis cache activity
-        #: (``analysis_cache``: hits/misses + per-analysis detail).
+        #: ({} until one runs): the :func:`repro.runner.parallel.run_grid`
+        #: perf record — cache_hits/cache_misses, compress_seconds,
+        #: wall_seconds, jobs, retries, the ``failed_cells`` manifest, and
+        #: the structural-analysis cache activity (``analysis_cache``).
         self.last_grid_perf: dict = {}
-        self._battery: list[AlgorithmSpec] | None = None
         self._battery_runner_cache: list[_Runner] | None = None
         self._baselines: dict = {}
         #: Number of original-graph algorithm executions (cache misses);
@@ -562,11 +484,9 @@ class Session:
     def _as_runner(self, algorithm, *, kind: str | None = None, name: str | None = None) -> _Runner:
         if isinstance(algorithm, _Runner):
             return algorithm
-        if isinstance(algorithm, AlgorithmSpec):
-            return _Runner.of_legacy(algorithm)
         if isinstance(algorithm, BoundAlgorithm):
             return _Runner.of_bound(algorithm)
-        if isinstance(algorithm, DeclarativeAlgorithmSpec):
+        if isinstance(algorithm, AlgorithmSpec):
             return _Runner.of_bound(self._bind(algorithm))
         if isinstance(algorithm, str):
             for runner in self._battery_runners():
@@ -579,26 +499,20 @@ class Session:
                     f"unknown algorithm {algorithm!r}: {err}"
                 ) from None
         if callable(algorithm):
-            return _Runner.of_legacy(
-                AlgorithmSpec(
-                    name or getattr(algorithm, "__name__", "algorithm"),
-                    algorithm,
-                    kind or "distribution",
-                )
+            label = name or getattr(algorithm, "__name__", "algorithm")
+            adapter = get_adapter(kind or "distribution")
+            return _Runner(
+                key=(label, adapter.name),
+                name=label,
+                label=label,
+                fn=algorithm,
+                adapter=adapter,
+                extract=adapter.canonicalize,
+                execute=adapter.name != "traversal",
             )
         raise TypeError(f"cannot interpret algorithm {algorithm!r}")
 
     # -- baseline cache ---------------------------------------------------- #
-
-    def default_battery(self) -> list[AlgorithmSpec]:
-        """The §5 battery as legacy executable specs (back-compat shim;
-        internally the session uses :meth:`_battery_runners`, which binds
-        the same algorithms through the registry)."""
-        if self._battery is None:
-            self._battery = default_algorithms(
-                bfs_root=self.bfs_root, pr_iterations=self.pr_iterations
-            )
-        return self._battery
 
     def _battery_runners(self) -> list[_Runner]:
         """The §5 battery bound through the registry, under the paper's
@@ -622,9 +536,9 @@ class Session:
     def baseline(self, spec):
         """(output, seconds) of an algorithm on the original graph, cached.
 
-        ``spec`` may be a legacy :class:`AlgorithmSpec` (keyed by
-        ``(name, kind)``), a :class:`BoundAlgorithm` / spec string (keyed
-        by its canonical declarative spec), or an internal runner.
+        ``spec`` may be a :class:`BoundAlgorithm` / spec string (keyed by
+        its canonical declarative spec), a bare callable (keyed by
+        ``(name, adapter)``), or an internal runner.
         """
         runner = self._as_runner(spec)
         cached = self._baselines.get(runner.key)
@@ -663,18 +577,6 @@ class Session:
 
     # -- battery + sweeps -------------------------------------------------- #
 
-    def evaluate(
-        self,
-        scheme,
-        algorithms: list | None = None,
-        *,
-        seed=_UNSET,
-        via: str = "fast",
-    ) -> tuple[list[EvaluationRecord], CSRGraph]:
-        """Compress and run the metric battery; (records, compressed)."""
-        run = self.compress(scheme, seed=seed, via=via)
-        return run.evaluate(algorithms), run.graph
-
     def grid(
         self,
         schemes: Iterable,
@@ -682,14 +584,18 @@ class Session:
         metrics: Sequence[str] | None = None,
         *,
         seed=_UNSET,
-        via: str = "fast",
     ) -> SweepTable:
         """Evaluate the full scheme × algorithm × metric grid.
 
         Every scheme is compressed once, every algorithm's original-graph
         baseline is computed once for the whole grid (the session cache),
         and every (scheme, algorithm) execution is scored with each
-        selected metric — one tidy long-format row per triple.
+        selected metric — one tidy long-format row per triple.  Cells run
+        through :func:`repro.runner.parallel.run_grid`: replayed from the
+        session's store when present, then computed inline (``jobs <= 1``)
+        or on a process pool.  A cell group that keeps failing under the
+        session's retry policy is left out of the table and listed in
+        ``last_grid_perf["failed_cells"]``.
 
         Parameters
         ----------
@@ -698,11 +604,11 @@ class Session:
             :class:`~repro.compress.spec.SchemeSpec`, configured schemes);
             duplicates (by scheme equality) are evaluated once.
         algorithms:
-            Algorithm surfaces (registry names/aliases, spec strings,
+            Registry algorithm surfaces (names/aliases, spec strings,
             :class:`~repro.algorithms.spec.AlgorithmSpec`,
-            :class:`~repro.algorithms.registry.BoundAlgorithm`, legacy
-            executable specs); duplicates are executed once.  ``None``
-            runs the paper battery ``("bfs", "pr", "cc", "tc")``.
+            :class:`~repro.algorithms.registry.BoundAlgorithm`);
+            duplicates are executed once.  ``None`` runs the paper battery
+            ``("bfs", "pr", "cc", "tc")``.
         metrics:
             Metric names applied to every algorithm they are compatible
             with (by result adapter); ``None`` scores each algorithm with
@@ -714,64 +620,27 @@ class Session:
         SweepTable
             Long-format rows; ``.to_csv()`` / ``.to_dict()`` round-trip.
         """
+        from repro.runner.parallel import run_grid
+
         built, runners, plans = self._grid_plan(schemes, algorithms, metrics)
         seed = self.seed if seed is _UNSET else seed
-
-        if self.store is not None or (self.jobs or 1) > 1:
-            if via != "fast":
-                raise ValueError(
-                    "store-backed / parallel grids support via='fast' only"
-                )
-            from repro.runner.parallel import run_grid
-
-            with _span(
-                "grid",
-                schemes=len(built),
-                algorithms=len(runners),
-                jobs=self.jobs or 1,
-                seed=seed,
-            ):
-                cells, perf = run_grid(self, built, runners, plans, seed=seed)
-            self.last_grid_perf = perf
-            return SweepTable(cells)
-
-        from repro.utils.timer import stopwatch
-
-        cells: list[GridCell] = []
-        groups = 0
-        compress_seconds = 0.0
-        analysis_before = analysis_cache().stats()
-        with stopwatch() as wall, _span(
-            "grid", schemes=len(built), algorithms=len(runners), jobs=1, seed=seed
+        with _span(
+            "grid",
+            schemes=len(built),
+            algorithms=len(runners),
+            jobs=self.jobs or 1,
+            seed=seed,
         ):
-            for scheme in built:
-                run, elapsed = _timed(self.compress, scheme, seed=seed, via=via)
-                compress_seconds += elapsed
-                for runner, plan in zip(runners, plans):
-                    if plan:
-                        groups += 1
-                    cells.extend(self._score_cells(run, runner, plan, seed=seed))
-        self.last_grid_perf = {
-            "jobs": 1,
-            "cells_scheduled": groups,
-            "cache_hits": 0,
-            "cache_misses": groups,
-            "compress_seconds": compress_seconds,
-            "wall_seconds": wall.seconds,
-            # Structural-analysis reuse during this grid (triangle lists
-            # etc.): see repro.graphs.analysis.
-            "analysis_cache": stats_delta(analysis_before, analysis_cache().stats()),
-        }
+            cells, perf = run_grid(self, built, runners, plans, seed=seed)
+        self.last_grid_perf = perf
         return SweepTable(cells)
 
     def _grid_plan(self, schemes, algorithms, metrics):
         """Resolve and deduplicate the three grid axes.
 
         Returns ``(built_schemes, runners, plans)`` where ``plans[i]`` is
-        the (possibly empty) metric list for ``runners[i]``; shared by the
-        in-memory loop above and the store/parallel executor in
-        :mod:`repro.runner.parallel` so both paths evaluate the identical
-        cell set.
+        the (possibly empty) metric list for ``runners[i]``, the plan
+        :func:`repro.runner.parallel.run_grid` executes.
         """
         built: list[CompressionScheme] = []
         for s in schemes:
@@ -881,6 +750,10 @@ class Session:
             sp.inc("cells", len(cells))
         return cells
 
+    #: The §5 battery as the sweep's registry spellings (the grid default
+    #: plus the per-vertex triangle vector the battery also scores).
+    _SWEEP_BATTERY = ("bfs", "pr", "cc", "tc", "tc_per_vertex")
+
     def sweep(
         self,
         schemes: Iterable,
@@ -890,14 +763,19 @@ class Session:
         seed=_UNSET,
         repeats: int = 1,
     ) -> list[SweepRow]:
-        """Run the battery for every scheme in ``schemes``.
+        """Run the battery for every scheme in ``schemes``; a view over
+        :meth:`grid` cells.
 
         ``schemes`` may mix spec strings, :class:`SchemeSpec` objects, and
         configured schemes; duplicates (by scheme equality) are evaluated
         once.  ``parameters`` labels the rows; when omitted, each scheme's
         registered positional parameter is used (falling back to the list
-        index).  ``repeats`` keeps the best (minimum) compressed timing
-        per cell, damping scheduler noise.
+        index).  ``algorithms`` takes registry surfaces (default: the §5
+        battery).  Each repeat is one grid under seed ``seed + r``; per
+        (scheme, algorithm) the best (minimum) compressed timing wins,
+        damping scheduler noise, and the row reports that winning cell's
+        seed, metric, and compression ratio — so a warm store replays it
+        byte-identically.
         """
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -912,66 +790,6 @@ class Session:
                 for index, scheme in enumerate(built)
             ]
         base_seed = self.seed if seed is _UNSET else seed
-        if self.store is not None or (self.jobs or 1) > 1:
-            return self._sweep_via_grid(
-                built, parameters, algorithms, base_seed, repeats
-            )
-        rows: list[SweepRow] = []
-        # Cache evaluation outcomes per scheme (params-driven eq/hash), so
-        # duplicate schemes are executed once but every (scheme, parameter)
-        # pair still gets its own correctly-labeled rows.
-        seen: dict[CompressionScheme, tuple[float, list]] = {}
-        for scheme, parameter in zip(built, parameters):
-            cached = seen.get(scheme)
-            if cached is None:
-                best: dict[str, tuple[EvaluationRecord, object]] = {}
-                ratio = 1.0
-                for r in range(repeats):
-                    cell_seed = base_seed + r if isinstance(base_seed, int) else base_seed
-                    records, compressed = self.evaluate(
-                        scheme, algorithms, seed=cell_seed
-                    )
-                    ratio = (
-                        compressed.num_edges / self.graph.num_edges
-                        if self.graph.num_edges
-                        else 1.0
-                    )
-                    for rec in records:
-                        prev = best.get(rec.algorithm)
-                        if prev is None or rec.compressed_seconds < prev[0].compressed_seconds:
-                            best[rec.algorithm] = (rec, cell_seed)
-                cached = (ratio, list(best.values()))
-                seen[scheme] = cached
-            ratio, best_records = cached
-            rows.extend(
-                SweepRow(
-                    parameter=parameter,
-                    algorithm=rec.algorithm,
-                    compression_ratio=ratio,
-                    relative_runtime_difference=rec.relative_runtime_difference,
-                    metric_name=rec.metric_name,
-                    metric_value=rec.metric_value,
-                    scheme_spec=_spec_label(scheme),
-                    seed=rec_seed,
-                )
-                for rec, rec_seed in best_records
-            )
-        return rows
-
-    #: The §5 battery as the sweep's registry spellings (the grid default
-    #: plus the per-vertex triangle vector the battery also scores).
-    _SWEEP_BATTERY = ("bfs", "pr", "cc", "tc", "tc_per_vertex")
-
-    def _sweep_via_grid(
-        self, built, parameters, algorithms, base_seed, repeats: int
-    ) -> list[SweepRow]:
-        """Store/parallel-backed :meth:`sweep`: battery rows via the runner.
-
-        Each repeat is one runner-backed grid over the (deduplicated)
-        schemes; per (scheme, algorithm) the best-timed repeat wins,
-        mirroring the in-memory path.  Rows carry the seed of the winning
-        repeat, so a warm store replays them byte-identically.
-        """
         unique: list[CompressionScheme] = []
         for scheme in built:
             if scheme not in unique:
@@ -981,7 +799,6 @@ class Session:
         )
         by_label = {_spec_label(s): s for s in unique}
         best: dict[CompressionScheme, dict[str, GridCell]] = {s: {} for s in unique}
-        ratios: dict[CompressionScheme, float] = {}
         for r in range(repeats):
             cell_seed = base_seed + r if isinstance(base_seed, int) else base_seed
             for cell in self.grid(unique, surfaces, seed=cell_seed):
@@ -989,23 +806,20 @@ class Session:
                 prev = best[scheme].get(cell.algorithm)
                 if prev is None or cell.compressed_seconds < prev.compressed_seconds:
                     best[scheme][cell.algorithm] = cell
-                ratios[scheme] = cell.compression_ratio
-        rows: list[SweepRow] = []
-        for scheme, parameter in zip(built, parameters):
-            rows.extend(
-                SweepRow(
-                    parameter=parameter,
-                    algorithm=cell.algorithm,
-                    compression_ratio=ratios[scheme],
-                    relative_runtime_difference=cell.relative_runtime_difference,
-                    metric_name=cell.metric,
-                    metric_value=cell.value,
-                    scheme_spec=_spec_label(scheme),
-                    seed=cell.seed,
-                )
-                for cell in best[scheme].values()
+        return [
+            SweepRow(
+                parameter=parameter,
+                algorithm=cell.algorithm,
+                compression_ratio=cell.compression_ratio,
+                relative_runtime_difference=cell.relative_runtime_difference,
+                metric_name=cell.metric,
+                metric_value=cell.value,
+                scheme_spec=_spec_label(scheme),
+                seed=cell.seed,
             )
-        return rows
+            for scheme, parameter in zip(built, parameters)
+            for cell in best[scheme].values()
+        ]
 
     @staticmethod
     def _default_parameter(scheme, index: int):

@@ -37,11 +37,9 @@ from repro.compress.sampling import (
     VertexSamplingKernel,
 )
 from repro.compress.registry import (
-    SCHEME_FACTORIES,
     SchemeEntry,
     build_scheme,
     get_entry,
-    make_scheme,
     register_scheme,
     registered_schemes,
     unregister_scheme,
@@ -86,6 +84,4 @@ __all__ = [
     "RandomVertexSampling",
     "RandomWalkSampling",
     "VertexSamplingKernel",
-    "make_scheme",
-    "SCHEME_FACTORIES",
 ]

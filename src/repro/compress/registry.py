@@ -10,20 +10,18 @@ decorator::
         ...
 
 Registration makes a scheme constructible from any spec surface —
-``make_scheme("spanner(k=8)")``, ``SchemeSpec.parse(...)``, a JSON dict —
+``build_scheme("spanner(k=8)")``, ``SchemeSpec.parse(...)``, a JSON dict —
 without the registry having to know about the class up front, so external
 code can add schemes the same way the ~11 built-ins do.
 
-:func:`make_scheme` is kept as the historical entry point; it is now a
-thin shim over :func:`build_scheme`, which accepts spec strings (including
-the paper's TR labels and ``|`` pipelines), :class:`SchemeSpec` objects,
-or an already-configured scheme.
+:func:`build_scheme` accepts spec strings (including the paper's TR
+labels and ``|`` pipelines), :class:`SchemeSpec` objects, or an
+already-configured scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.compress.base import CompressionScheme
 from repro.compress.spec import SchemeSpec
@@ -38,8 +36,6 @@ __all__ = [
     "resolve_name",
     "positional_param",
     "build_scheme",
-    "make_scheme",
-    "SCHEME_FACTORIES",
 ]
 
 
@@ -163,6 +159,15 @@ def build_scheme(spec, **overrides) -> CompressionScheme:
     ``spec`` may be a spec string (named form, paper-style TR label, or a
     ``|`` pipeline), a :class:`SchemeSpec`, or an existing scheme (returned
     unchanged, for idempotent call sites).
+
+    Examples
+    --------
+    >>> build_scheme("uniform(p=0.5)").p
+    0.5
+    >>> build_scheme("EO-0.8-1-TR").variant
+    'edge_once'
+    >>> build_scheme("spanner(k=32)").k
+    32
     """
     _ensure_builtins()
     if isinstance(spec, CompressionScheme) or (
@@ -188,47 +193,3 @@ def build_scheme(spec, **overrides) -> CompressionScheme:
         first = kwargs.pop(entry.positional)
         return entry.factory(first, **kwargs)
     return entry.factory(**kwargs)
-
-
-def make_scheme(spec, **overrides) -> CompressionScheme:
-    """Construct a scheme from a paper-style label or ``name(key=value,…)``.
-
-    Back-compat shim over :func:`build_scheme` (the registry is the source
-    of truth; this name predates it and remains the documented entry).
-
-    Examples
-    --------
-    >>> make_scheme("uniform(p=0.5)").p
-    0.5
-    >>> make_scheme("EO-0.8-1-TR").variant
-    'edge_once'
-    >>> make_scheme("spanner(k=32)").k
-    32
-    """
-    return build_scheme(spec, **overrides)
-
-
-class _FactoriesView(Mapping):
-    """Live alias->factory mapping, kept for back compatibility with the
-    historical ``SCHEME_FACTORIES`` dict (reflects late registrations)."""
-
-    def __getitem__(self, key: str) -> type:
-        canonical = resolve_name(key)
-        if canonical is None:
-            raise KeyError(key)
-        return _NAMESPACE.entry_of(canonical).factory
-
-    def __iter__(self):
-        _ensure_builtins()
-        return iter(_NAMESPACE.known_names())
-
-    def __len__(self) -> int:
-        _ensure_builtins()
-        return len(_NAMESPACE)
-
-    def __repr__(self) -> str:
-        _ensure_builtins()
-        return f"SCHEME_FACTORIES({_NAMESPACE.known_names()})"
-
-
-SCHEME_FACTORIES = _FactoriesView()

@@ -1,9 +1,9 @@
 """Parallel, store-aware, fault-tolerant execution of grid sweeps.
 
-:func:`run_grid` is the engine behind ``Session(store=…, jobs=N).grid``:
-it takes the session's already-resolved grid plan (schemes × algorithm
-runners × metric plans), turns it into one **task per (scheme, seed,
-algorithm) cell group**, and executes the tasks
+:func:`run_grid` is the engine behind every ``Session.grid`` (and so
+every ``Session.sweep``): it takes the session's already-resolved grid
+plan (schemes × algorithm runners × metric plans), turns it into one
+**task per (scheme, seed, algorithm) cell group**, and executes the tasks
 
 - against the artifact store first — cells already stored are replayed
   with zero recomputation,
@@ -35,12 +35,12 @@ Every worker keeps its own
 :class:`~repro.analytics.session.Session`, so original-graph baselines
 are computed at most once per algorithm per worker and compressions at
 most once per (scheme, seed) per worker — the same deduplication the
-in-memory session performs, sharded over the pool.
+inline path gets from the parent session, sharded over the pool.
 
-Results are bit-compatible with the sequential in-memory path: workers
-execute the very same ``Session._score_cells`` code on the very same
-inputs, and the parent reassembles cells in deterministic plan order, so
-a parallel, store-backed grid equals the single-process one on a fixed
+Results are bit-compatible across routes: inline and pooled execution
+run the very same ``Session._score_cells`` code on the very same inputs,
+and the parent reassembles cells in deterministic plan order, so a
+parallel, store-backed grid equals the single-process one on a fixed
 seed (metric values, ratios, labels; wall times naturally vary).
 
 **Fault tolerance.**  A sweep over a scheme×algorithm×seed cube runs for
@@ -272,8 +272,13 @@ def _worker_cell(task: dict) -> tuple[dict, list[dict], dict]:
     return task, cells, perf
 
 
-def _compute_cell(session, runs: dict, task: dict) -> tuple[list[dict], dict]:
+def _compute_cell(
+    session, runs: dict, task: dict, scheme=None
+) -> tuple[list[dict], dict]:
     """Execute one task against ``session`` (worker or parent process).
+
+    ``scheme`` is the configured scheme behind ``task["scheme"]`` when the
+    caller holds it (inline execution); workers rebuild it from the spec.
 
     ``runs`` holds the current (scheme, seed) compression so consecutive
     same-key tasks share it; it is evicted whenever the ``(scheme, seed)``
@@ -293,7 +298,9 @@ def _compute_cell(session, runs: dict, task: dict) -> tuple[list[dict], dict]:
     if cached is None:
         runs.clear()
         cached, compress_seconds = timed_call(
-            session.compress, task["scheme"], seed=task["seed"]
+            session.compress,
+            task["scheme"] if scheme is None else scheme,
+            seed=task["seed"],
         )
         runs[run_key] = cached
     runner = session._as_runner(task["algorithm"])
@@ -326,9 +333,8 @@ def _make_tasks(session, built, runners, plans, seed) -> list[CellTask]:
                 continue
             if not isinstance(runner.key, AlgorithmSpec):
                 raise ValueError(
-                    f"store-backed/parallel grids require registry "
-                    f"algorithms; {runner.label!r} is a legacy executable "
-                    "spec or bare callable (register it with "
+                    f"grids require registry algorithms; {runner.label!r} "
+                    "is a bare callable (register it with "
                     "@register_algorithm)"
                 )
             tasks.append(
@@ -347,11 +353,11 @@ def _make_tasks(session, built, runners, plans, seed) -> list[CellTask]:
 def run_grid(session, built, runners, plans, *, seed):
     """Execute a resolved grid plan with store replay and/or a pool.
 
-    Returns ``(cells, perf)`` where ``cells`` is in the same deterministic
-    (scheme-major, then algorithm, then metric) order the in-memory path
-    produces — minus any quarantined cells, which appear in
-    ``perf["failed_cells"]`` instead — and ``perf`` reports cache
-    hits/misses, compression time, retries, and wall time for this call.
+    Returns ``(cells, perf)`` where ``cells`` is in deterministic
+    (scheme-major, then algorithm, then metric) order — minus any
+    quarantined cells, which appear in ``perf["failed_cells"]`` instead —
+    and ``perf`` reports cache hits/misses, compression time, retries, and
+    wall time for this call.
     """
     store = session.store
     jobs = session.jobs or 1
@@ -440,7 +446,7 @@ def run_grid(session, built, runners, plans, *, seed):
         if pending and jobs > 1:
             _run_pool(session, store, fingerprint, pending, jobs, harvest, retry, rng, perf)
         elif pending:
-            _run_inline(session, pending, harvest, retry, rng, perf)
+            _run_inline(session, built, pending, harvest, retry, rng, perf)
 
         cells = _assemble(tasks, runners, results)
     perf["wall_seconds"] = wall.seconds
@@ -490,18 +496,24 @@ def _quarantine(task: CellTask, err, attempts: int, perf: dict) -> None:
     counter("repro.runner.failed_cells").inc()
 
 
-def _run_inline(session, pending, harvest, retry: RetryPolicy, rng, perf: dict) -> None:
+def _run_inline(
+    session, built, pending, harvest, retry: RetryPolicy, rng, perf: dict
+) -> None:
     """In-process execution with the same retry/quarantine semantics.
 
     Reuses the parent session so its baseline cache keeps paying off
-    across grids; compressions cached per call.  A failed attempt may
-    leave a partial compression in ``runs`` — retries clear it first.
+    across grids, and compresses the session's own configured schemes
+    (``built``), so schemes without a registry spec still run inline;
+    compressions cached per call.  A failed attempt may leave a partial
+    compression in ``runs`` — retries clear it first.
     """
     runs: dict = {}
     for task in pending:
         for attempt in range(1, retry.max_attempts + 1):
             try:
-                cells, cell_perf = _compute_cell(session, runs, task.transport())
+                cells, cell_perf = _compute_cell(
+                    session, runs, task.transport(), built[task.scheme_index]
+                )
             except Exception as err:  # noqa: BLE001 — any failure is retryable
                 runs.clear()
                 if attempt >= retry.max_attempts:
@@ -655,7 +667,20 @@ def _run_pool(
                 _, _, task = heapq.heappop(ready)
                 if pool is None:
                     pool = make_pool()
-                future = pool.submit(_worker_cell, task.transport())
+                try:
+                    future = pool.submit(_worker_cell, task.transport())
+                except BrokenExecutor as err:
+                    # A worker died since the last wait and the pool
+                    # refuses work before any in-flight future reports
+                    # it: recover as for a broken future, and requeue
+                    # this never-started task without an attempt charge.
+                    lost = [t for t, _ in window.values()]
+                    window.clear()
+                    rebuild_after("broken")
+                    for casualty in lost:
+                        fail_or_requeue(casualty, err)
+                    fail_or_requeue(task, None, charge=False)
+                    break
                 deadline = (
                     math.inf
                     if retry.task_timeout is None
@@ -748,15 +773,15 @@ def _merge_analysis(total: dict, delta: dict | None) -> None:
 
 
 def _assemble(tasks, runners, results) -> list[GridCell]:
-    """Cells in plan order, labeled like the in-memory path.
+    """Cells in plan order, labeled with this call's algorithm surfaces.
 
     Stored payloads carry the canonical bound algorithm label; the session
     may have requested the cell under a battery short name (``"pr"``), so
     the display label is rewritten to this call's surface.  Replayed
     payloads may also carry the *writer's* metric order (store keys are
     metric-order-free), so rows are re-sorted to this call's requested
-    order — a warm replay is row-for-row identical to the in-memory grid
-    no matter how the cells were first spelled.  Quarantined tasks have
+    order — a warm replay is row-for-row identical to a cold grid no
+    matter how the cells were first spelled.  Quarantined tasks have
     no results entry and are skipped — their identity lives in the perf
     record's ``failed_cells`` manifest.
     """

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.service.http import serve
-from repro.service.queue import JobQueue
+from repro.service.queue import QUEUE_RETRY, JobQueue
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
         args.store,
         workers=args.jobs,
         pool_jobs=args.pool_jobs,
-        max_attempts=args.max_attempts,
+        retry=replace(QUEUE_RETRY, max_attempts=args.max_attempts),
         job_timeout=args.job_timeout,
         max_queued=args.max_queued,
         ledger=args.ledger,

@@ -30,7 +30,9 @@ request handlers.  Use :func:`serve` to build a server bound to a
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -40,6 +42,11 @@ __all__ = ["ServiceHandler", "ServiceServer", "serve", "start_in_thread"]
 
 #: Submission bodies above this size are rejected (a job spec is tiny).
 MAX_BODY_BYTES = 1 << 20
+
+#: Bounds on draining a rejected body before closing the connection: at
+#: most this many bytes, for at most this many seconds.
+DRAIN_MAX_BYTES = 8 * MAX_BODY_BYTES
+DRAIN_SECONDS = 2.0
 
 #: ``Retry-After`` seconds sent with 503s.  A saturated queue usually
 #: drains within a job's runtime; a closing queue never reopens, but the
@@ -80,6 +87,37 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str, headers: dict | None = None, **extra) -> None:
         self._json({"error": message, **extra}, status=status, headers=headers)
+
+    def _reject_body(self, length: int) -> None:
+        """400 for a body that will not be read, then a lingering close.
+
+        Closing a socket with unread request bytes makes the kernel send a
+        reset, which a client still writing its body sees as a broken pipe
+        instead of this response.  So: answer with ``Connection: close``,
+        half-close the write side, and drain what the client is sending,
+        within :data:`DRAIN_MAX_BYTES` and :data:`DRAIN_SECONDS`.
+        """
+        if length > MAX_BODY_BYTES:
+            message = f"request body exceeds {MAX_BODY_BYTES} bytes"
+        else:
+            message = "request needs a JSON body (Content-Length)"
+        self._error(400, message, headers={"Connection": "close"})
+        try:
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            budget = min(max(length, 0), DRAIN_MAX_BYTES)
+            deadline = time.monotonic() + DRAIN_SECONDS
+            while budget > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(min(budget, 65536))
+                if not chunk:
+                    break
+                budget -= len(chunk)
+        except OSError:  # the client went away first: nothing to linger for
+            pass
 
     def _unavailable(self, message: str) -> None:
         """503 with ``Retry-After`` — the back-pressure/shutdown answer."""
@@ -169,7 +207,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if not 0 < length <= MAX_BODY_BYTES:
-            self._error(400, "request needs a JSON body (Content-Length)")
+            self._reject_body(length)
             return
         try:
             spec = json.loads(self.rfile.read(length))

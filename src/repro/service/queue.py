@@ -13,8 +13,9 @@ with zero recomputation (instant hits, visible in the store stats), and
 a *failed* job's key is evicted too, so a retry actually retries instead
 of being poisoned by the dead record.
 
-Failure handling is explicit.  A job that raises is retried up to
-``max_attempts`` times with capped exponential backoff (attempt counts
+Failure handling is explicit.  A job that raises is retried under the
+queue's :class:`~repro.runner.parallel.RetryPolicy` — up to its
+``max_attempts`` with its capped exponential backoff (attempt counts
 surface in ``/jobs``, ``/metrics`` — ``repro.queue.retries`` — and the
 dashboard); a job whose wall-clock age exceeds ``job_timeout`` fails
 instead of retrying.  A full queue (``max_queued``) rejects with
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import queue as queue_module
+import random
 import threading
 import time
 from typing import Mapping
@@ -45,6 +47,7 @@ from typing import Mapping
 from repro.faults.plan import fault_point
 from repro.obs.metrics import counter, gauge, histogram, snapshot as metrics_snapshot
 from repro.obs.spans import span
+from repro.runner.parallel import RetryPolicy
 from repro.service.jobs import JobResult, JobSpec, execute_job
 from repro.utils.timer import Timer, stopwatch
 
@@ -58,7 +61,13 @@ __all__ = [
     "DONE",
     "FAILED",
     "STATES",
+    "QUEUE_RETRY",
 ]
+
+#: The queue's default retry policy: one execution (failures are
+#: immediate — opt in to retries), and for retries a 0.5 s backoff
+#: doubling up to 15 s, without jitter.
+QUEUE_RETRY = RetryPolicy(max_attempts=1, backoff_base=0.5, backoff_cap=15.0, jitter=0.0)
 
 # Process-wide rollups of queue activity; the per-instance Timer stays
 # the queue-local view the legacy JSON keys report.
@@ -172,11 +181,14 @@ class JobQueue:
     executor:
         The job runner, :func:`~repro.service.jobs.execute_job` unless a
         test injects a stand-in.
-    max_attempts, backoff_base, backoff_cap:
-        Per-job retry policy: a failing job is requeued up to
-        ``max_attempts`` total executions, waiting
-        ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds first.
-        The default (1) keeps failures immediate — opt in to retries.
+    retry:
+        Per-job :class:`~repro.runner.parallel.RetryPolicy`, or a dict of
+        its fields (via :meth:`RetryPolicy.of`): a failing job is
+        requeued up to ``max_attempts`` total executions, waiting
+        ``retry.backoff(n)`` seconds first.  ``None`` is
+        :data:`QUEUE_RETRY`, which keeps failures immediate.  The
+        policy's ``task_timeout`` does not apply here; see
+        ``job_timeout``.
     job_timeout:
         Wall-clock budget per job measured from submission; exceeded
         jobs fail (a queued job past deadline never starts, a failing
@@ -199,17 +211,13 @@ class JobQueue:
         pool_jobs: int | None = None,
         graph_loader=None,
         executor=execute_job,
-        max_attempts: int = 1,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 15.0,
+        retry=None,
         job_timeout: float | None = None,
         max_queued: int | None = None,
         ledger=None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive")
         if max_queued is not None and max_queued < 1:
@@ -223,9 +231,8 @@ class JobQueue:
         self.pool_jobs = pool_jobs
         self.graph_loader = graph_loader
         self._execute = executor
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        self.retry = QUEUE_RETRY if retry is None else RetryPolicy.of(retry)
+        self._retry_rng = random.Random("queue-retry-jitter")
         self.job_timeout = job_timeout
         self.max_queued = max_queued
         if ledger is not None and not hasattr(ledger, "record"):
@@ -431,7 +438,7 @@ class JobQueue:
                 )
                 return
             with self._lock:
-                retryable = record.attempts < self.max_attempts and not self._closed
+                retryable = record.attempts < self.retry.max_attempts and not self._closed
             if not retryable:
                 self._fail(record, error, sw.seconds)
                 return
@@ -440,12 +447,7 @@ class JobQueue:
                 self.ledger.record(
                     "requeued", record.id, attempts=record.attempts, error=error
                 )
-            time.sleep(
-                min(
-                    self.backoff_cap,
-                    self.backoff_base * (2 ** max(0, record.attempts - 1)),
-                )
-            )
+            time.sleep(self.retry.backoff(record.attempts, self._retry_rng))
             with self._lock:
                 # close(drain=False) may have failed it during the sleep.
                 if record.state != RUNNING:
@@ -500,7 +502,7 @@ class JobQueue:
             "jobs_total": total,
             "coalesced": coalesced,
             "attempts": attempts,
-            "max_attempts": self.max_attempts,
+            "max_attempts": self.retry.max_attempts,
             "job_timeout": self.job_timeout,
             "max_queued": self.max_queued,
             "ledger": None if self.ledger is None else str(self.ledger.path),

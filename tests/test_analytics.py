@@ -1,28 +1,21 @@
-"""Tests for the analytics subsystem: evaluation harness, sweeps, reports."""
+"""Tests for the analytics subsystem: scoring schemes through grids and
+sweeps, and report rendering."""
 
-import numpy as np
 import pytest
 
-from repro.analytics.evaluation import (
-    AlgorithmSpec,
-    default_algorithms,
-    evaluate_scheme,
-)
+from repro.analytics import Session
 from repro.analytics.report import format_table, write_csv
-from repro.analytics.tradeoff import sweep
 from repro.compress.uniform import RandomUniformSampling
 from repro.compress.spanner import Spanner
 
 
 class TestEvaluateScheme:
     def test_default_battery_records(self, plc300):
-        records, compressed = evaluate_scheme(
-            plc300, RandomUniformSampling(0.5), seed=0
-        )
-        names = {r.algorithm for r in records}
+        rows = Session(plc300, seed=0).sweep([RandomUniformSampling(0.5)])
+        names = {r.algorithm for r in rows}
         assert names == {"bfs", "cc", "pr", "tc", "tc_per_vertex"}
-        assert compressed.num_edges < plc300.num_edges
-        by_name = {r.algorithm: r for r in records}
+        by_name = {r.algorithm: r for r in rows}
+        assert by_name["pr"].compression_ratio < 1
         assert by_name["pr"].metric_name == "kl_divergence"
         assert by_name["pr"].metric_value >= 0
         assert by_name["cc"].metric_name == "relative_change"
@@ -37,62 +30,57 @@ class TestEvaluateScheme:
 
                 return CompressionResult(graph=g, original=g, scheme="id", params={})
 
-        records, _ = evaluate_scheme(plc300, Identity(), seed=0)
-        by_name = {r.algorithm: r for r in records}
-        assert by_name["pr"].metric_value == pytest.approx(0.0, abs=1e-9)
-        assert by_name["cc"].metric_value == 0.0
-        assert by_name["tc_per_vertex"].metric_value == 0.0
-        assert by_name["bfs"].metric_value == pytest.approx(1.0)
+        table = Session(plc300, seed=0).grid(
+            [Identity()], ["pr", "cc", "tc_per_vertex", "bfs"]
+        )
+        by_name = {c.algorithm: c for c in table}
+        assert by_name["pr"].value == pytest.approx(0.0, abs=1e-9)
+        assert by_name["cc"].value == 0.0
+        assert by_name["tc_per_vertex"].value == 0.0
+        assert by_name["bfs"].value == pytest.approx(1.0)
 
     def test_custom_algorithm_kinds(self, plc300):
-        specs = [
-            AlgorithmSpec("edges", lambda g: g.num_edges, "scalar"),
-        ]
-        records, _ = evaluate_scheme(plc300, RandomUniformSampling(0.5), specs, seed=1)
-        assert len(records) == 1
-        assert records[0].metric_value == pytest.approx(-0.5, abs=0.1)
+        run = Session(plc300, seed=1).compress(RandomUniformSampling(0.5))
+        scores = run.run(lambda g: g.num_edges, kind="scalar", name="edges").score()
+        assert list(scores) == ["edges"]
+        assert scores["relative_change"] == pytest.approx(-0.5, abs=0.1)
 
     def test_unknown_kind_rejected(self, plc300):
-        specs = [AlgorithmSpec("x", lambda g: 0, "tensor")]
+        run = Session(plc300, seed=0).compress(RandomUniformSampling(0.5))
         with pytest.raises(ValueError):
-            evaluate_scheme(plc300, RandomUniformSampling(0.5), specs)
+            run.run(lambda g: 0, kind="tensor", name="x")
 
     def test_vector_padding_after_collapse(self, plc300):
         from repro.compress.triangle_reduction import TriangleReduction
 
-        records, _ = evaluate_scheme(
-            plc300, TriangleReduction(0.5, variant="collapse"), seed=2
+        table = Session(plc300, seed=2).grid(
+            [TriangleReduction(0.5, variant="collapse")], ["tc_per_vertex"]
         )
         # Must not raise despite the smaller vertex set.
-        assert any(r.algorithm == "tc_per_vertex" for r in records)
+        assert table.algorithms() == ["tc_per_vertex"]
+        assert 0 <= table.rows[0].value <= 1
 
 
 class TestSweep:
     def test_uniform_sweep_monotone_ratio(self, plc300):
-        rows = sweep(
-            plc300,
-            lambda p: RandomUniformSampling(p),
-            [0.2, 0.5, 0.9],
-            algorithms=[AlgorithmSpec("cc", lambda g: 1, "scalar")],
-            seed=0,
+        rows = Session(plc300, seed=0).sweep(
+            [RandomUniformSampling(p) for p in (0.2, 0.5, 0.9)],
+            parameters=[0.2, 0.5, 0.9],
+            algorithms=["cc"],
         )
         ratios = {r.parameter: r.compression_ratio for r in rows}
         assert ratios[0.2] < ratios[0.5] < ratios[0.9]
 
     def test_spanner_sweep(self, plc300):
-        rows = sweep(
-            plc300,
-            lambda k: Spanner(k),
-            [2, 8],
-            algorithms=[AlgorithmSpec("m", lambda g: g.num_edges, "scalar")],
-            seed=1,
+        rows = Session(plc300, seed=1).sweep(
+            [Spanner(k) for k in (2, 8)], algorithms=["cc"]
         )
-        assert len(rows) == 2
+        assert [r.parameter for r in rows] == [2, 8]
         assert all(0 < r.compression_ratio <= 1 for r in rows)
 
     def test_repeats_validation(self, plc300):
         with pytest.raises(ValueError):
-            sweep(plc300, RandomUniformSampling, [0.5], repeats=0)
+            Session(plc300).sweep([RandomUniformSampling(0.5)], repeats=0)
 
 
 class TestReport:

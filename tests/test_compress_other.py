@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms.betweenness import betweenness_centrality
 from repro.compress.cut_sparsifier import CutSparsifier, ni_forest_indices
 from repro.compress.lowrank import ClusteredLowRankApproximation
-from repro.compress.registry import make_scheme
+from repro.compress.registry import build_scheme
 from repro.compress.vertex_filters import LowDegreeVertexRemoval
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
@@ -130,24 +130,24 @@ class TestLowRank:
 
 class TestRegistry:
     def test_tr_labels(self):
-        s = make_scheme("0.5-1-TR")
+        s = build_scheme("0.5-1-TR")
         assert s.p == 0.5 and s.x == 1 and s.variant == "basic"
-        s = make_scheme("EO-0.8-1-TR")
+        s = build_scheme("EO-0.8-1-TR")
         assert s.variant == "edge_once" and s.p == 0.8
-        s = make_scheme("CT-0.5-2-TR")
+        s = build_scheme("CT-0.5-2-TR")
         assert s.variant == "count_triangles" and s.x == 2
 
     def test_named_schemes(self):
-        assert make_scheme("uniform(p=0.2)").p == 0.2
-        assert make_scheme("spectral(p=0.05, variant=avgdeg)").variant == "avgdeg"
-        assert make_scheme("spanner(k=128)").k == 128
-        assert make_scheme("summarization(epsilon=0.4)").epsilon == 0.4
-        assert make_scheme("lowrank(rank=8)").rank == 8
+        assert build_scheme("uniform(p=0.2)").p == 0.2
+        assert build_scheme("spectral(p=0.05, variant=avgdeg)").variant == "avgdeg"
+        assert build_scheme("spanner(k=128)").k == 128
+        assert build_scheme("summarization(epsilon=0.4)").epsilon == 0.4
+        assert build_scheme("lowrank(rank=8)").rank == 8
 
     def test_bool_parsing(self):
-        s = make_scheme("spectral(p=0.5, reweight=false)")
+        s = build_scheme("spectral(p=0.5, reweight=false)")
         assert s.reweight is False
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            make_scheme("zstd(level=3)")
+            build_scheme("zstd(level=3)")

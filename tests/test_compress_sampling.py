@@ -72,9 +72,9 @@ class TestRandomWalkSampling:
         assert res.extras["walk_steps"] <= 50 * g.n
 
     def test_registry(self):
-        from repro.compress.registry import make_scheme
+        from repro.compress.registry import build_scheme
 
-        s = make_scheme("random_walk_sampling(target_fraction=0.3, restart_p=0.2)")
+        s = build_scheme("random_walk_sampling(target_fraction=0.3, restart_p=0.2)")
         assert s.target_fraction == 0.3
         assert s.restart_p == 0.2
 

@@ -29,7 +29,7 @@ def small_graphs(draw, max_n=40, max_m=150):
     return CSRGraph.from_edges(n, src, dst)
 
 
-SCHEME_FACTORIES = [
+SCHEMES = [
     lambda p: RandomUniformSampling(p),
     lambda p: SpectralSparsifier(p),
     lambda p: TriangleReduction(p),
@@ -41,7 +41,7 @@ SCHEME_FACTORIES = [
 @given(small_graphs(), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_schemes_return_subgraphs(g, p, seed, which):
-    scheme = SCHEME_FACTORIES[which](p)
+    scheme = SCHEMES[which](p)
     sub = scheme.compress(g, seed=seed).graph
     sub.validate()
     assert sub.n == g.n
@@ -54,7 +54,7 @@ def test_schemes_return_subgraphs(g, p, seed, which):
 @given(small_graphs(), st.floats(0.05, 0.95), st.integers(0, 2**31 - 1), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_schemes_deterministic(g, p, seed, which):
-    scheme = SCHEME_FACTORIES[which](p)
+    scheme = SCHEMES[which](p)
     a = scheme.compress(g, seed=seed).graph
     b = scheme.compress(g, seed=seed).graph
     assert np.array_equal(a.edge_src, b.edge_src)

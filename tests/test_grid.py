@@ -115,15 +115,12 @@ class TestGrid:
         assert len(table) == 2 * 4
 
     def test_mixed_legacy_algorithms(self, plc300):
-        from repro.analytics.evaluation import AlgorithmSpec
-
+        # A bare callable next to a registry algorithm rejects the whole
+        # grid before any cell (or baseline) runs.
         session = Session(plc300, seed=0)
-        table = session.grid(
-            ["uniform(p=0.5)"],
-            [AlgorithmSpec("edges", lambda g: g.num_edges, "scalar"), "pr"],
-        )
-        assert len(table) == 2
-        assert "edges" in table.algorithms()
+        with pytest.raises(ValueError, match="registry algorithms"):
+            session.grid(["uniform(p=0.5)"], [lambda g: g.num_edges, "pr"])
+        assert session.baseline_computations == 0
 
     def test_empty_axes_rejected(self, plc300):
         session = Session(plc300, seed=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analytics.guidance import PRESERVABLE_PROPERTIES, recommend
-from repro.compress.registry import make_scheme
+from repro.compress.registry import build_scheme
 from repro.graphs import generators as gen
 from repro.graphs.weights import with_uniform_weights
 
@@ -19,7 +19,7 @@ class TestRecommend:
         """Every recommended spec must parse through the registry."""
         for prop in PRESERVABLE_PROPERTIES:
             for rec in recommend(prop):
-                scheme = make_scheme(rec.scheme_spec)
+                scheme = build_scheme(rec.scheme_spec)
                 assert scheme is not None
 
     def test_unknown_property(self):
@@ -65,7 +65,7 @@ class TestRecommend:
         g = gen.powerlaw_cluster(300, 5, 0.6, seed=2)
         rec = recommend("connected_components", g)[0]
         assert rec.feasible
-        sub = make_scheme(rec.scheme_spec).compress(g, seed=0).graph
+        sub = build_scheme(rec.scheme_spec).compress(g, seed=0).graph
         assert (
             connected_components(sub).num_components
             == connected_components(g).num_components
@@ -77,7 +77,7 @@ class TestRecommend:
         g = with_uniform_weights(gen.powerlaw_cluster(300, 5, 0.6, seed=3), seed=1)
         rec = recommend("mst_weight", g)[0]
         assert rec.feasible
-        sub = make_scheme(rec.scheme_spec).compress(g, seed=0).graph
+        sub = build_scheme(rec.scheme_spec).compress(g, seed=0).graph
         assert kruskal(sub).total_weight == pytest.approx(kruskal(g).total_weight)
 
 

@@ -66,16 +66,10 @@ class TestStoreBackedGrid:
         assert long.algorithms() == ["pagerank(max_iterations=100)"]
 
     def test_legacy_callables_rejected(self, plc300, tmp_path):
-        from repro.analytics.evaluation import AlgorithmSpec
-
         session = Session(plc300, seed=1, store=ArtifactStore(tmp_path / "s"))
         with pytest.raises(ValueError, match="registry algorithms"):
-            session.grid(SCHEMES, [AlgorithmSpec("edges", lambda g: g.num_edges, "scalar")])
-
-    def test_kernel_path_rejected(self, plc300, tmp_path):
-        session = Session(plc300, seed=1, store=ArtifactStore(tmp_path / "s"))
-        with pytest.raises(ValueError, match="via='fast'"):
-            session.grid(SCHEMES, ["pr"], via="kernels")
+            session.grid(SCHEMES, [lambda g: g.num_edges])
+        assert len(session.store) == 0
 
     def test_store_accepts_path_surface(self, plc300, tmp_path):
         session = Session(plc300, seed=1, store=tmp_path / "store")

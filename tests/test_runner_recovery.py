@@ -185,6 +185,41 @@ class TestQuarantine:
         assert len({(row[0], row[1]) for row in missing}) == 1
         assert failed["algorithm"].startswith("pagerank")
 
+    def test_in_memory_grid_quarantines_like_store_backed(self, plc300, tmp_path):
+        # An algorithm that raises on one scheme's graph: the in-memory
+        # grid runs through the same executor, so it returns the same
+        # partial table and the same failed-cell manifest as a store.
+        from repro.algorithms import register_algorithm, unregister_algorithm
+
+        @register_algorithm("tmp_fails_when_sparse", adapter="scalar")
+        def tmp_fails_when_sparse(g):
+            if g.num_edges < plc300.num_edges // 2:
+                raise RuntimeError("too sparse")
+            return g.num_edges
+
+        retry = {"max_attempts": 2, "backoff_base": 0.0, "jitter": 0.0}
+        schemes = ["uniform(p=0.2)", "uniform(p=0.9)"]
+        algorithms = ["cc", "tmp_fails_when_sparse"]
+        try:
+            in_memory = Session(plc300, seed=1, retry=retry)
+            stored = Session(plc300, seed=1, retry=retry, store=tmp_path / "store")
+            tables = [s.grid(schemes, algorithms) for s in (in_memory, stored)]
+        finally:
+            unregister_algorithm("tmp_fails_when_sparse")
+        assert _comparable(tables[0]) == _comparable(tables[1])
+        assert len(tables[0]) == 3
+        failed = in_memory.last_grid_perf["failed_cells"]
+        assert failed == stored.last_grid_perf["failed_cells"]
+        assert failed == [
+            {
+                "scheme": "uniform(p=0.2)",
+                "seed": 1,
+                "algorithm": "tmp_fails_when_sparse",
+                "error": "RuntimeError: too sparse",
+                "attempts": 2,
+            }
+        ]
+
     def test_failed_cell_to_dict(self):
         cell = FailedCell(
             scheme="uniform(p=0.5)", seed=1, algorithm="pr",

@@ -9,13 +9,13 @@ from repro.compress import (
     Chain,
     CompressionScheme,
     SchemeSpec,
-    make_scheme,
+    build_scheme,
     register_scheme,
     registered_schemes,
     unregister_scheme,
 )
 from repro.compress.base import CompressionResult
-from repro.compress.registry import SCHEME_FACTORIES, build_scheme, get_entry
+from repro.compress.registry import get_entry
 
 
 class TestSchemeSpecParsing:
@@ -73,10 +73,10 @@ class TestRegistryRoundTrip:
         entries = registered_schemes()
         assert len(entries) >= 10
         for name, entry in entries.items():
-            scheme = make_scheme(entry.example)
+            scheme = build_scheme(entry.example)
             spec = scheme.spec()
             assert spec.name == name
-            rebuilt = make_scheme(spec.to_string())
+            rebuilt = build_scheme(spec.to_string())
             assert rebuilt == scheme, name
             assert hash(rebuilt) == hash(scheme), name
             # Canonical strings are stable under re-parsing.
@@ -86,18 +86,18 @@ class TestRegistryRoundTrip:
             assert SchemeSpec.from_dict(spec.to_dict()) == spec, name
 
     def test_integer_params_stay_int(self):
-        k = make_scheme("spanner(k=32)").k
+        k = build_scheme("spanner(k=32)").k
         assert k == 32 and isinstance(k, int)
-        assert isinstance(make_scheme("spanner(k=32)").params()["k"], int)
-        rank = make_scheme("lowrank(rank=8)").rank
+        assert isinstance(build_scheme("spanner(k=32)").params()["k"], int)
+        rank = build_scheme("lowrank(rank=8)").rank
         assert rank == 8 and isinstance(rank, int)
-        x = make_scheme("EO-0.8-2-TR").x
+        x = build_scheme("EO-0.8-2-TR").x
         assert x == 2 and isinstance(x, int)
         # Through the full parse -> construct -> params -> format loop.
-        assert "k=32" in make_scheme("spanner(k=32)").spec().to_string()
+        assert "k=32" in build_scheme("spanner(k=32)").spec().to_string()
 
     def test_float_k_still_supported(self):
-        assert make_scheme("spanner(k=2.5)").k == 2.5
+        assert build_scheme("spanner(k=2.5)").k == 2.5
 
     def test_external_registration(self):
         @register_scheme("noop_test_scheme", summary="does nothing")
@@ -111,14 +111,14 @@ class TestRegistryRoundTrip:
                 )
 
         try:
-            scheme = make_scheme("noop_test_scheme")
+            scheme = build_scheme("noop_test_scheme")
             assert isinstance(scheme, Noop)
             assert scheme.name == "noop_test_scheme"
-            assert "noop_test_scheme" in SCHEME_FACTORIES
+            assert "noop_test_scheme" in registered_schemes()
         finally:
             unregister_scheme("noop_test_scheme")
         with pytest.raises(ValueError):
-            make_scheme("noop_test_scheme")
+            build_scheme("noop_test_scheme")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError):
@@ -140,41 +140,44 @@ class TestRegistryRoundTrip:
             class NameImpostor(CompressionScheme):
                 pass
 
-    def test_factories_view_back_compat(self):
-        assert SCHEME_FACTORIES["tr"] is SCHEME_FACTORIES["triangle_reduction"]
-        assert "spanner" in SCHEME_FACTORIES
-        assert len(SCHEME_FACTORIES) >= 11
+    def test_aliases_resolve_to_one_entry(self):
+        assert get_entry("tr") is get_entry("triangle_reduction")
+        assert {
+            "uniform", "spectral", "triangle_reduction", "spanner",
+            "summarization", "low_degree", "cut_sparsifier", "lowrank",
+            "vertex_sampling", "random_walk_sampling",
+        } <= set(registered_schemes())
         assert get_entry("tr").positional == "p"
 
 
 class TestSchemeIdentity:
     def test_eq_and_hash_by_params(self):
-        a = make_scheme("uniform(p=0.5)")
-        b = make_scheme("uniform(p=0.5)")
-        c = make_scheme("uniform(p=0.6)")
+        a = build_scheme("uniform(p=0.5)")
+        b = build_scheme("uniform(p=0.5)")
+        c = build_scheme("uniform(p=0.6)")
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert len({a, b, c}) == 2
 
     def test_different_classes_not_equal(self):
-        assert make_scheme("uniform(p=0.5)") != make_scheme("vertex_sampling(p=0.5)")
+        assert build_scheme("uniform(p=0.5)") != build_scheme("vertex_sampling(p=0.5)")
 
     def test_repr_driven_by_params(self):
-        assert repr(make_scheme("uniform(p=0.5)")) == "RandomUniformSampling(p=0.5)"
+        assert repr(build_scheme("uniform(p=0.5)")) == "RandomUniformSampling(p=0.5)"
 
     def test_usable_as_cache_key(self):
-        cache = {make_scheme("spanner(k=8)"): "hit"}
-        assert cache[make_scheme("spanner(k=8)")] == "hit"
+        cache = {build_scheme("spanner(k=8)"): "hit"}
+        assert cache[build_scheme("spanner(k=8)")] == "hit"
 
 
 class TestChain:
     def test_or_operator_builds_chain(self, plc300):
-        pipeline = make_scheme("low_degree(max_degree=1)") | make_scheme("spanner(k=4)")
+        pipeline = build_scheme("low_degree(max_degree=1)") | build_scheme("spanner(k=4)")
         assert isinstance(pipeline, Chain)
         assert len(pipeline.stages) == 2
 
     def test_lineage_records_each_stage(self, plc300):
-        pipeline = make_scheme("uniform(p=0.9) | spanner(k=4)")
+        pipeline = build_scheme("uniform(p=0.9) | spanner(k=4)")
         result = pipeline.compress(plc300, seed=0)
         assert [st.scheme for st in result.lineage] == ["uniform", "spanner"]
         assert result.lineage[0].params == {"p": 0.9}
@@ -187,20 +190,20 @@ class TestChain:
         assert result.original is plc300
 
     def test_single_scheme_lineage_autopopulated(self, plc300):
-        result = make_scheme("uniform(p=0.5)").compress(plc300, seed=0)
+        result = build_scheme("uniform(p=0.5)").compress(plc300, seed=0)
         assert len(result.lineage) == 1
         assert result.lineage[0].scheme == "uniform"
         assert result.lineage[0].params == {"p": 0.5}
 
     def test_chain_flattens(self):
-        a = make_scheme("uniform(p=0.9)")
-        b = make_scheme("spanner(k=4)")
-        c = make_scheme("low_degree(max_degree=1)")
+        a = build_scheme("uniform(p=0.9)")
+        b = build_scheme("spanner(k=4)")
+        c = build_scheme("low_degree(max_degree=1)")
         assert len(((a | b) | c).stages) == 3
 
     def test_chain_spec_round_trip(self):
-        pipeline = make_scheme("uniform(p=0.9) | spanner(k=4)")
-        rebuilt = make_scheme(pipeline.spec().to_string())
+        pipeline = build_scheme("uniform(p=0.9) | spanner(k=4)")
+        rebuilt = build_scheme(pipeline.spec().to_string())
         assert rebuilt == pipeline
 
     def test_empty_chain_rejected(self):

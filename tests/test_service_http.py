@@ -323,6 +323,19 @@ class TestMalformedBodies:
         status, payload, _ = _post_raw(base, blob)
         assert status == 400
 
+    def test_oversized_bodies_never_reset(self, service):
+        # The server answers before reading the body; it must drain what
+        # the client is still sending rather than reset the connection.
+        base, _ = service
+        blob = b'{"graph": "' + b"x" * (1 << 20) + b'", "schemes": ["u"]}'
+        statuses = []
+        for _ in range(50):
+            status, payload, headers = _post_raw(base, blob)
+            statuses.append(status)
+        assert statuses == [400] * 50
+        assert "exceeds" in payload["error"]
+        assert headers["Connection"] == "close"
+
     def test_invalid_utf8_400(self, service):
         base, _ = service
         status, payload, _ = _post_raw(base, b'{"graph": "\xff\xfe"}')

@@ -168,7 +168,7 @@ class TestQueueRecovery:
         executor = _CountingExecutor(fail_keys={spec.job_key})
         with JobQueue(
             workers=1, executor=executor, ledger=path,
-            max_attempts=2, backoff_base=0.01,
+            retry={"max_attempts": 2, "backoff_base": 0.01, "jitter": 0.0},
         ) as q:
             record = q.submit(spec)
             assert record.wait(30) and record.state == FAILED

@@ -247,7 +247,7 @@ class TestRetryPolicy:
 
         with JobQueue(
             tmp_path / "store", workers=1, graph_loader=flaky_loader,
-            max_attempts=3, backoff_base=0.01,
+            retry={"max_attempts": 3, "backoff_base": 0.01, "jitter": 0.0},
         ) as q:
             record = q.submit(_spec())
             assert record.wait(60) and record.state == DONE
@@ -258,7 +258,8 @@ class TestRetryPolicy:
         gate = _GatedExecutor(fail=True)
         gate.release.set()
         with JobQueue(
-            workers=1, executor=gate, max_attempts=2, backoff_base=0.01
+            workers=1, executor=gate,
+            retry={"max_attempts": 2, "backoff_base": 0.01, "jitter": 0.0},
         ) as q:
             record = q.submit(_spec())
             assert record.wait(30) and record.state == FAILED
@@ -277,7 +278,8 @@ class TestRetryPolicy:
         gate = _GatedExecutor(fail=True)
         gate.release.set()
         with JobQueue(
-            workers=1, executor=gate, max_attempts=2, backoff_base=0.01
+            workers=1, executor=gate,
+            retry={"max_attempts": 2, "backoff_base": 0.01, "jitter": 0.0},
         ) as q:
             before = q.stats()["metrics"]["repro.queue.retries"]["value"]
             record = q.submit(_spec())
@@ -287,11 +289,39 @@ class TestRetryPolicy:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
-            JobQueue(max_attempts=0)
+            JobQueue(retry={"max_attempts": 0})
         with pytest.raises(ValueError, match="job_timeout"):
             JobQueue(job_timeout=0)
         with pytest.raises(ValueError, match="max_queued"):
             JobQueue(max_queued=0)
+
+    def test_one_retry_policy(self, monkeypatch):
+        import repro.service.__main__ as cli
+        from repro.runner.parallel import RetryPolicy
+        from repro.service.queue import QUEUE_RETRY
+
+        # The default keeps failures immediate, with the historical
+        # 0.5 s doubling backoff capped at 15 s and no jitter.
+        assert JobQueue().retry == RetryPolicy(
+            max_attempts=1, backoff_base=0.5, backoff_cap=15.0, jitter=0.0
+        )
+        assert [QUEUE_RETRY.backoff(n, None) for n in (1, 2, 7)] == [0.5, 1.0, 15.0]
+        policy = RetryPolicy(max_attempts=4)
+        assert JobQueue(retry=policy).retry is policy
+
+        # The CLI's --max-attempts lands in the same policy.
+        class Built(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Built(kwargs["retry"])
+
+        monkeypatch.setattr(cli, "JobQueue", capture)
+        with pytest.raises(Built) as built:
+            cli.main(["--max-attempts", "3"])
+        assert built.value.args[0] == RetryPolicy(
+            max_attempts=3, backoff_base=0.5, backoff_cap=15.0, jitter=0.0
+        )
 
 
 class TestJobTimeout:
@@ -315,8 +345,8 @@ class TestJobTimeout:
         gate = _GatedExecutor(fail=True)
         gate.release.set()
         with JobQueue(
-            workers=1, executor=gate, max_attempts=10,
-            backoff_base=0.3, job_timeout=0.2,
+            workers=1, executor=gate, job_timeout=0.2,
+            retry={"max_attempts": 10, "backoff_base": 0.3, "jitter": 0.0},
         ) as q:
             record = q.submit(_spec())
             assert record.wait(30) and record.state == FAILED
