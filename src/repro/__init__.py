@@ -65,7 +65,6 @@ from repro.compress import (
 from repro.core import (
     SG,
     SlimGraphRuntime,
-    Pipeline,
     run_kernels,
     VertexKernel,
     EdgeKernel,
@@ -135,7 +134,6 @@ __all__ = [
     "registered_schemes",
     "SG",
     "SlimGraphRuntime",
-    "Pipeline",
     "run_kernels",
     "VertexKernel",
     "EdgeKernel",

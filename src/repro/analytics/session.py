@@ -408,11 +408,9 @@ class Session:
         self.num_chunks = num_chunks
         self.bfs_root = bfs_root
         self.pr_iterations = pr_iterations
-        if store is not None and not hasattr(store, "get_cells"):
-            from repro.runner.store import ArtifactStore
+        from repro.runner.store import ArtifactStore
 
-            store = ArtifactStore(store)
-        self.store = store
+        self.store = ArtifactStore.of(store)
         self.jobs = jobs
         from repro.runner.parallel import GRAPH_LOAD_MODES
 
@@ -439,9 +437,9 @@ class Session:
                 self.trace_path = trace
         #: Execution statistics of the most recent :meth:`grid` call
         #: ({} until one runs): the :func:`repro.runner.parallel.run_grid`
-        #: perf record — cache_hits/cache_misses, compress_seconds,
-        #: wall_seconds, jobs, retries, the ``failed_cells`` manifest, and
-        #: the structural-analysis cache activity (``analysis_cache``).
+        #: perf record — the :data:`~repro.runner.parallel.PERF_COUNTERS`,
+        #: manifests and ``analysis_cache`` detail; fold several with
+        #: :func:`~repro.runner.parallel.merge_perf`.
         self.last_grid_perf: dict = {}
         self._battery_runner_cache: list[_Runner] | None = None
         self._baselines: dict = {}

@@ -15,7 +15,6 @@ from repro.core.sg import SG
 from repro.core.atomic import DeletionBuffer, EdgeFlags
 from repro.core.engine import run_kernels, KernelSweepResult
 from repro.core.runtime import SlimGraphRuntime, RuntimeResult
-from repro.core.pipeline import Pipeline, PipelineResult
 
 __all__ = [
     "VertexView",
@@ -34,6 +33,4 @@ __all__ = [
     "KernelSweepResult",
     "SlimGraphRuntime",
     "RuntimeResult",
-    "Pipeline",
-    "PipelineResult",
 ]

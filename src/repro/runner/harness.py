@@ -38,7 +38,9 @@ from pathlib import Path
 from repro.analytics.grid import SweepTable
 from repro.obs.resources import sample_resources
 from repro.obs.spans import span
-from repro.service.jobs import JobSpec, execute_job, merge_worker_stats
+from repro.runner.parallel import PERF_COUNTERS, merge_perf, new_perf
+from repro.runner.store import ArtifactStore
+from repro.service.jobs import JobSpec, execute_job
 from repro.utils.timer import stopwatch
 
 __all__ = [
@@ -162,35 +164,31 @@ def run_sweep(
         record's per-worker stats carry the mode each worker used.
 
     Returns a :class:`SweepResult` whose table spans every (graph, seed)
-    grid, with each cell's ``graph`` column filled in.
+    grid, with each cell's ``graph`` column filled in.  Its perf record is
+    the per-graph job records folded with
+    :func:`~repro.runner.parallel.merge_perf` (manifest entries tagged
+    ``graph``), with a ``metrics`` block naming each
+    :data:`~repro.runner.parallel.PERF_COUNTERS` counter by its registry
+    metric, plus the sweep's axes, wall time, resources and per-grid
+    ``grids`` entries.
     """
     spec = get_sweep(sweep) if isinstance(sweep, str) else sweep
     if seeds is not None:
         spec = replace(spec, seeds=tuple(seeds))
     if graphs is not None:
         spec = replace(spec, graphs=tuple(graphs))
-    if store is not None and not hasattr(store, "get_cells"):
-        from repro.runner.store import ArtifactStore
-
-        store = ArtifactStore(store)
+    store = ArtifactStore.of(store)
     loader = graph_loader or (lambda name: _load_dataset(name, seed=spec.graph_seed))
 
     cells = []
     grids = []
-    workers: dict = {}
-    failed_cells: list = []
-    store_write_failures: list = []
-    totals = {
-        "cells_scheduled": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "compress_seconds": 0.0,
-        "analysis_hits": 0,
-        "analysis_misses": 0,
-        "retries": 0,
-        "pool_rebuilds": 0,
-        "store_write_retries": 0,
-    }
+    perf = new_perf(
+        jobs=jobs or 1,
+        graph_load=graph_load or "auto",
+        store=None if store is None else str(store.root),
+        graphs=list(spec.graphs),
+        seeds=list(spec.seeds),
+    )
     with stopwatch() as wall, span(
         "sweep", name=spec.name, graphs=len(spec.graphs), jobs=jobs or 1
     ):
@@ -202,67 +200,32 @@ def run_sweep(
             )
             cells.extend(result.table)
             grids.extend(result.perf["grids"])
-            for key in totals:
-                totals[key] += result.perf.get(key, 0)
-            for entry in result.perf.get("failed_cells", ()):
-                failed_cells.append({"graph": graph_name, **entry})
-            for entry in result.perf.get("store_write_failures", ()):
-                store_write_failures.append({"graph": graph_name, **entry})
-            merge_worker_stats(workers, result.perf.get("workers"))
+            merge_perf(perf, result.perf, graph=graph_name)
 
     table = SweepTable(cells)
-    algorithm_seconds = sum(
-        c.original_seconds + c.compressed_seconds for c in table
-    )
     resources = sample_resources()
-    perf = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "jobs": jobs or 1,
-        "graph_load": graph_load or "auto",
-        "store": None if store is None else str(store.root),
-        "graphs": list(spec.graphs),
-        "seeds": list(spec.seeds),
-        "cells": len(table),
-        **totals,
-        # Quarantine manifest: cell groups that exhausted their retry
-        # budget (the sweep completed without them) and store writes
-        # abandoned after retries (their cells are still in the table).
-        "failed_cells": failed_cells,
-        "store_write_failures": store_write_failures,
-        # Canonical registry spellings of the flat totals above — the
-        # legacy keys (analysis_hits vs the cache's own "hits" etc.) stay
-        # as aliases so existing consumers keep working.
-        "metrics": {
-            "repro.runner.cells_scheduled": totals["cells_scheduled"],
-            "repro.runner.cache_hits": totals["cache_hits"],
-            "repro.runner.cache_misses": totals["cache_misses"],
-            "repro.runner.task_retries": totals["retries"],
-            "repro.runner.pool_rebuilds": totals["pool_rebuilds"],
-            "repro.runner.failed_cells": len(failed_cells),
-            "repro.runner.store_write_retries": totals["store_write_retries"],
-            "repro.analysis.hits": totals["analysis_hits"],
-            "repro.analysis.misses": totals["analysis_misses"],
-        },
-        "algorithm_seconds": algorithm_seconds,
-        "seconds_per_cell_group": (
-            wall.seconds / totals["cells_scheduled"]
-            if totals["cells_scheduled"]
-            else 0.0
+    # Registry spellings of the flat counters; the flat keys stay as
+    # aliases so existing consumers keep working.
+    metrics = {name: perf[key] for key, name in PERF_COUNTERS.items() if name}
+    metrics["repro.runner.failed_cells"] = len(perf["failed_cells"])
+    perf.update(
+        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        cells=len(table),
+        metrics=metrics,
+        algorithm_seconds=sum(c.original_seconds + c.compressed_seconds for c in table),
+        seconds_per_cell_group=(
+            wall.seconds / perf["cells_scheduled"] if perf["cells_scheduled"] else 0.0
         ),
-        "wall_seconds": wall.seconds,
-        # The parent process's resource sample plus per-worker-process
-        # load time / peak RSS (pid-keyed; empty for in-process sweeps).
-        "resources": resources,
-        "peak_rss_bytes": resources["peak_rss_bytes"],
-        "workers": workers,
-        "grids": grids,
-    }
+        wall_seconds=wall.seconds,
+        # The parent process's sample; pool workers report under ``workers``.
+        resources=resources,
+        peak_rss_bytes=resources["peak_rss_bytes"],
+        grids=grids,
+    )
     if store is not None:
         store_stats = store.stats.snapshot()
         perf["store_stats"] = store_stats
-        perf["metrics"].update(
-            {f"repro.store.{k}": v for k, v in store_stats.items()}
-        )
+        metrics.update({f"repro.store.{k}": v for k, v in store_stats.items()})
     return SweepResult(spec=spec, table=table, perf=perf)
 
 

@@ -99,11 +99,97 @@ from repro.obs.spans import (
 )
 from repro.utils.timer import stopwatch, timed_call
 
-__all__ = ["run_grid", "CellTask", "RetryPolicy", "FailedCell", "GRAPH_LOAD_MODES"]
+__all__ = [
+    "run_grid",
+    "CellTask",
+    "RetryPolicy",
+    "FailedCell",
+    "GRAPH_LOAD_MODES",
+    "PERF_COUNTERS",
+    "new_perf",
+    "merge_perf",
+    "merge_workers",
+]
 
 #: Worker graph-delivery modes a session may request (``"auto"`` picks
 #: shared memory and falls back to the npz snapshot).
 GRAPH_LOAD_MODES = ("auto", "shm", "npz", "mmap")
+
+#: The additive counters of a perf record, each mapped to its registry
+#: metric name (``None``: no metric).  Grid, job, sweep and shard-sweep
+#: records all carry them; a record's counters are the sums of its parts'.
+PERF_COUNTERS = {
+    "cells_scheduled": "repro.runner.cells_scheduled",
+    "cache_hits": "repro.runner.cache_hits",
+    "cache_misses": "repro.runner.cache_misses",
+    "compress_seconds": None,
+    "analysis_hits": "repro.analysis.hits",
+    "analysis_misses": "repro.analysis.misses",
+    # Fault-tolerance accounting: task re-executions, pool rebuilds after
+    # dead/hung workers, and store writes that needed retries.
+    "retries": "repro.runner.task_retries",
+    "pool_rebuilds": "repro.runner.pool_rebuilds",
+    "store_write_retries": "repro.runner.store_write_retries",
+}
+
+
+def new_perf(**fields) -> dict:
+    """An empty perf record: zeroed :data:`PERF_COUNTERS` plus ``fields``.
+
+    Besides the counters it holds the structural-analysis cache detail
+    (``analysis_cache``), the two manifests — quarantined cell groups
+    (``failed_cells``) and abandoned store writes
+    (``store_write_failures``) — and pid-keyed per-worker-process stats
+    (``workers``; empty for in-process runs).
+    """
+    perf = {key: 0.0 if key == "compress_seconds" else 0 for key in PERF_COUNTERS}
+    perf.update(
+        analysis_cache={"hits": 0, "misses": 0, "by_analysis": {}},
+        failed_cells=[],
+        store_write_failures=[],
+        workers={},
+    )
+    perf.update(fields)
+    return perf
+
+
+def merge_perf(total: dict, part: dict, **tags) -> dict:
+    """Fold the perf record ``part`` into ``total`` (a :func:`new_perf`).
+
+    Counters sum; manifest entries are appended with ``tags`` (say
+    ``graph=name`` or ``shard=i``) prefixed so merged entries stay
+    attributable; worker and analysis-cache stats merge.  Returns
+    ``total``.
+    """
+    for key in PERF_COUNTERS:
+        total[key] += part.get(key, 0)
+    for key in ("failed_cells", "store_write_failures"):
+        total[key].extend({**tags, **entry} for entry in part.get(key, ()))
+    merge_workers(total["workers"], part.get("workers"))
+    _merge_analysis(total["analysis_cache"], part.get("analysis_cache"))
+    return total
+
+
+def _max(a, b):
+    """``max`` where ``None`` means "not measured"."""
+    return b if a is None else a if b is None else max(a, b)
+
+
+def merge_workers(total: dict, workers: dict | None) -> None:
+    """Fold pid-keyed worker stats into ``total``.
+
+    Cells sum; peak RSS and private (USS) bytes take the max (lifetime
+    high-water marks); the graph load time and mode are per-process and
+    kept from first sight.
+    """
+    for pid, stats in (workers or {}).items():
+        slot = total.get(pid)
+        if slot is None:
+            total[pid] = dict(stats)
+            continue
+        slot["cells"] += stats.get("cells", 0)
+        for key in ("peak_rss_bytes", "private_bytes"):
+            slot[key] = _max(slot.get(key), stats.get(key))
 
 
 @dataclass(frozen=True)
@@ -356,8 +442,10 @@ def run_grid(session, built, runners, plans, *, seed):
     Returns ``(cells, perf)`` where ``cells`` is in deterministic
     (scheme-major, then algorithm, then metric) order — minus any
     quarantined cells, which appear in ``perf["failed_cells"]`` instead —
-    and ``perf`` reports cache hits/misses, compression time, retries, and
-    wall time for this call.
+    and ``perf`` is a :func:`new_perf` record for this call (the
+    :data:`PERF_COUNTERS` and manifests) plus ``jobs``, ``wall_seconds``,
+    the pooled graph-load mode and, with a store, ``store_stats``.
+    Callers total several grids with :func:`merge_perf`.
     """
     store = session.store
     jobs = session.jobs or 1
@@ -373,25 +461,7 @@ def run_grid(session, built, runners, plans, *, seed):
             fingerprint = graph_fingerprint(session.graph)
 
         results: dict[tuple[int, int], list[dict]] = {}
-        perf = {
-            "jobs": jobs,
-            "cells_scheduled": len(tasks),
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "compress_seconds": 0.0,
-            "analysis_cache": {"hits": 0, "misses": 0, "by_analysis": {}},
-            # Fault-tolerance accounting: task re-executions, quarantined
-            # cell groups, pool rebuilds after dead/hung workers, and
-            # store writes that needed retries / were abandoned.
-            "retries": 0,
-            "failed_cells": [],
-            "pool_rebuilds": 0,
-            "store_write_retries": 0,
-            "store_write_failures": [],
-            # Per-worker-process accounting (pid-keyed): snapshot load
-            # time, peak RSS, cells computed.  Empty for in-process runs.
-            "workers": {},
-        }
+        perf = new_perf(jobs=jobs, cells_scheduled=len(tasks))
         pending: list[CellTask] = []
         for task in tasks:
             payload = None
@@ -419,24 +489,9 @@ def run_grid(session, built, runners, plans, *, seed):
             if spans:
                 tracer().adopt(spans, parent_id=current_span_id())
             if worker:
-                slot = perf["workers"].setdefault(
-                    str(worker["pid"]),
-                    {
-                        "pid": worker["pid"],
-                        "load_seconds": worker["load_seconds"],
-                        "load_mode": worker.get("load_mode", "npz"),
-                        "peak_rss_bytes": 0,
-                        "private_bytes": None,
-                        "cells": 0,
-                    },
+                merge_workers(
+                    perf["workers"], {str(worker["pid"]): {**worker, "cells": 1}}
                 )
-                slot["cells"] += 1
-                slot["peak_rss_bytes"] = max(
-                    slot["peak_rss_bytes"], worker["peak_rss_bytes"]
-                )
-                uss = worker.get("private_bytes")
-                if uss is not None:
-                    slot["private_bytes"] = max(slot["private_bytes"] or 0, uss)
             if store is not None:
                 key = store.cell_key(
                     fingerprint, task.scheme, task.seed, task.algorithm, task.metrics
@@ -449,6 +504,10 @@ def run_grid(session, built, runners, plans, *, seed):
             _run_inline(session, built, pending, harvest, retry, rng, perf)
 
         cells = _assemble(tasks, runners, results)
+    # Flat copies of the analysis-cache totals, so they sum like the
+    # other counters when grids are merged.
+    perf["analysis_hits"] = perf["analysis_cache"]["hits"]
+    perf["analysis_misses"] = perf["analysis_cache"]["misses"]
     perf["wall_seconds"] = wall.seconds
     if store is not None:
         perf["store_stats"] = store.stats.snapshot()
@@ -600,8 +659,6 @@ def _run_pool(
     perf["graph_load"] = mode
     session_kwargs = {
         "seed": session.seed,
-        "backend": session.backend,
-        "num_chunks": session.num_chunks,
         "bfs_root": session.bfs_root,
         "pr_iterations": session.pr_iterations,
     }
@@ -761,7 +818,8 @@ def _run_pool(
 
 
 def _merge_analysis(total: dict, delta: dict | None) -> None:
-    """Accumulate one cell's analysis-cache delta into the grid totals."""
+    """Accumulate analysis-cache stats (a cell's delta or a grid's
+    totals) into ``total``."""
     if not delta:
         return
     total["hits"] += delta.get("hits", 0)

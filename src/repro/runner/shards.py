@@ -218,17 +218,22 @@ def sweep_shards(
     bounded by one shard's touched pages, not the whole graph.
 
     Returns ``(table, perf)``: a :class:`SweepTable` whose cells carry
-    ``graph="shard:<i>"`` labels, and a perf dict with per-shard grid
-    perf under ``"shards"`` plus merged totals.
+    ``graph="shard:<i>"`` labels, and the per-shard grid records folded
+    with :func:`~repro.runner.parallel.merge_perf` (manifest entries
+    tagged ``shard``), plus each shard's own record under ``"shards"``.
     """
     from dataclasses import replace as _replace
 
     from repro.analytics.session import Session
+    from repro.runner.parallel import merge_perf, new_perf
 
     if not isinstance(shard_set, ShardSet):
         shard_set = ShardSet.open(shard_set)
     cells = []
     shard_perf = []
+    perf = new_perf(
+        num_shards=len(shard_set), fingerprint=shard_set.manifest.get("fingerprint")
+    )
     with stopwatch() as wall, span("shards.sweep", shards=len(shard_set)):
         for shard in shard_set.shards:
             graph = shard_set.load(shard.index, mmap=True)
@@ -244,18 +249,14 @@ def sweep_shards(
             table = session.grid(schemes, algorithms, metrics, seed=seed)
             label = f"shard:{shard.index}"
             cells.extend(_replace(c, graph=label) for c in table)
-            perf = dict(session.last_grid_perf)
-            perf.pop("store_stats", None)
-            shard_perf.append({"shard": shard.index, "edges": shard.num_edges, **perf})
+            grid_perf = dict(session.last_grid_perf)
+            grid_perf.pop("store_stats", None)
+            merge_perf(perf, grid_perf, shard=shard.index)
+            shard_perf.append(
+                {"shard": shard.index, "edges": shard.num_edges, **grid_perf}
+            )
             # Drop the session and mapped graph before the next shard so
             # at most one shard's mapping is live at a time.
             del session, table, graph
-    perf = {
-        "shards": shard_perf,
-        "num_shards": len(shard_set),
-        "fingerprint": shard_set.manifest.get("fingerprint"),
-        "wall_seconds": wall.seconds,
-        "cells": len(cells),
-        "failed_cells": [f for p in shard_perf for f in p.get("failed_cells", ())],
-    }
+    perf.update(shards=shard_perf, wall_seconds=wall.seconds, cells=len(cells))
     return SweepTable(cells), perf

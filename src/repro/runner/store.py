@@ -218,6 +218,16 @@ class ArtifactStore:
         )
         self.stats = StoreStats()
 
+    @classmethod
+    def of(cls, value) -> "ArtifactStore | None":
+        """Coerce ``None``/path/store to a store (``None`` stays ``None``).
+
+        Anything with ``get_cells`` already is a store and passes through.
+        """
+        if value is None or hasattr(value, "get_cells"):
+            return value
+        return cls(value)
+
     def __repr__(self) -> str:
         return (
             f"ArtifactStore({str(self.root)!r}, cells={len(self)}, "

@@ -34,7 +34,13 @@ from typing import Iterable, Mapping
 
 from repro.analytics.grid import SweepTable
 from repro.obs.spans import span
-from repro.runner.store import _algorithm_json, _canonical_metrics, _scheme_json
+from repro.runner.parallel import merge_perf, new_perf
+from repro.runner.store import (
+    ArtifactStore,
+    _algorithm_json,
+    _canonical_metrics,
+    _scheme_json,
+)
 from repro.utils.timer import stopwatch
 
 __all__ = [
@@ -43,7 +49,6 @@ __all__ = [
     "JobResult",
     "execute_job",
     "load_job_graph",
-    "merge_worker_stats",
 ]
 
 #: Graph references of this form resolve to a store snapshot instead of a
@@ -264,29 +269,6 @@ class JobResult:
     perf: dict = field(default_factory=dict)
 
 
-def merge_worker_stats(total: dict, delta: dict | None) -> None:
-    """Fold one grid's pid-keyed worker stats into a running total.
-
-    Cells sum; peak RSS and private (USS) bytes take the max (lifetime
-    high-water marks); the graph load time and mode are per-process and
-    kept from first sight.
-    """
-    if not delta:
-        return
-    for pid, stats in delta.items():
-        slot = total.get(pid)
-        if slot is None:
-            total[pid] = dict(stats)
-        else:
-            slot["cells"] += stats.get("cells", 0)
-            slot["peak_rss_bytes"] = max(
-                slot["peak_rss_bytes"], stats.get("peak_rss_bytes", 0)
-            )
-            uss = stats.get("private_bytes")
-            if uss is not None:
-                slot["private_bytes"] = max(slot.get("private_bytes") or 0, uss)
-
-
 def load_job_graph(job: JobSpec, *, store=None, graph_loader=None):
     """Resolve a job's graph reference to a :class:`CSRGraph`.
 
@@ -326,20 +308,16 @@ def execute_job(
     :class:`~repro.runner.parallel.RetryPolicy` or dict) sets the grid's
     fault-tolerance policy; ``graph_load`` selects how pooled workers
     obtain the graph (``"auto"``/``"shm"``/``"npz"``/``"mmap"`` — see
-    :mod:`repro.runner.parallel`).  The returned perf dict carries the same
-    counter names the BENCH records and the harness totals use
-    (``cells_scheduled``, ``cache_hits``/``cache_misses``,
-    ``compress_seconds``, ``analysis_hits``/``analysis_misses``,
-    ``retries``/``pool_rebuilds``/``store_write_retries`` and the
-    ``failed_cells`` quarantine manifest), plus one ``grids`` entry per
-    seed.
+    :mod:`repro.runner.parallel`).  The returned perf dict is the
+    per-seed grid records folded with
+    :func:`~repro.runner.parallel.merge_perf` (so it carries every
+    :data:`~repro.runner.parallel.PERF_COUNTERS` counter and both
+    manifests), plus ``job_key``, ``graph``, ``seeds``, ``cells``,
+    ``wall_seconds`` and one ``grids`` entry per seed.
     """
     from repro.analytics.session import Session
 
-    if store is not None and not hasattr(store, "get_cells"):
-        from repro.runner.store import ArtifactStore
-
-        store = ArtifactStore(store)
+    store = ArtifactStore.of(store)
     graph = load_job_graph(job, store=store, graph_loader=graph_loader)
     session = Session(
         graph,
@@ -353,20 +331,7 @@ def execute_job(
     )
     cells = []
     grids = []
-    workers: dict = {}
-    failed_cells: list = []
-    store_write_failures: list = []
-    totals = {
-        "cells_scheduled": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "compress_seconds": 0.0,
-        "analysis_hits": 0,
-        "analysis_misses": 0,
-        "retries": 0,
-        "pool_rebuilds": 0,
-        "store_write_retries": 0,
-    }
+    perf = new_perf(job_key=job.job_key, graph=job.graph, seeds=list(job.seeds))
     with stopwatch() as wall, span(
         "job", graph=job.graph, seeds=len(job.seeds), schemes=len(job.schemes)
     ):
@@ -378,32 +343,8 @@ def execute_job(
             # Cumulative per session: stays at one per algorithm no
             # matter how many schemes/seeds scored against it.
             grid_perf["baseline_computations"] = session.baseline_computations
-            # Flatten the structural-analysis cache counters so they
-            # total like the store counters (detail stays per grid).
-            analysis = grid_perf.get("analysis_cache") or {}
-            grid_perf["analysis_hits"] = analysis.get("hits", 0)
-            grid_perf["analysis_misses"] = analysis.get("misses", 0)
-            for key in totals:
-                totals[key] += grid_perf.get(key, 0)
-            # Quarantine manifests carry cell identity; tag each entry
-            # with the seed's grid so multi-seed jobs stay attributable.
-            for entry in grid_perf.get("failed_cells", ()):
-                failed_cells.append(dict(entry))
-            for entry in grid_perf.get("store_write_failures", ()):
-                store_write_failures.append(dict(entry))
-            merge_worker_stats(workers, grid_perf.get("workers"))
+            merge_perf(perf, grid_perf)
             grids.append({"graph": job.graph, "seed": seed, **grid_perf})
     table = SweepTable(cells)
-    perf = {
-        "job_key": job.job_key,
-        "graph": job.graph,
-        "seeds": list(job.seeds),
-        "cells": len(table),
-        **totals,
-        "failed_cells": failed_cells,
-        "store_write_failures": store_write_failures,
-        "workers": workers,
-        "wall_seconds": wall.seconds,
-        "grids": grids,
-    }
+    perf.update(cells=len(table), wall_seconds=wall.seconds, grids=grids)
     return JobResult(spec=job, table=table, perf=perf)

@@ -48,6 +48,7 @@ from repro.faults.plan import fault_point
 from repro.obs.metrics import counter, gauge, histogram, snapshot as metrics_snapshot
 from repro.obs.spans import span
 from repro.runner.parallel import RetryPolicy
+from repro.runner.store import ArtifactStore
 from repro.service.jobs import JobResult, JobSpec, execute_job
 from repro.utils.timer import Timer, stopwatch
 
@@ -222,11 +223,7 @@ class JobQueue:
             raise ValueError("job_timeout must be positive")
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be >= 1")
-        if store is not None and not hasattr(store, "get_cells"):
-            from repro.runner.store import ArtifactStore
-
-            store = ArtifactStore(store)
-        self.store = store
+        self.store = ArtifactStore.of(store)
         self.workers = workers
         self.pool_jobs = pool_jobs
         self.graph_loader = graph_loader

@@ -1,14 +1,13 @@
-"""Tests for the execution engine, runtime loop, and pipeline."""
+"""Tests for the execution engine and runtime loop."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import run_kernels
 from repro.core.kernels import EdgeKernel, TriangleKernel, VertexKernel
-from repro.core.pipeline import Pipeline
 from repro.core.runtime import SlimGraphRuntime
 from repro.core.sg import SG
-from repro.compress.uniform import RandomUniformKernel, RandomUniformSampling
+from repro.compress.uniform import RandomUniformKernel
 from repro.compress.spanner import Spanner
 from repro.graphs import generators as gen
 
@@ -176,25 +175,3 @@ class TestRuntime:
         runtime = SlimGraphRuntime(NeverConverges(), max_rounds=3)
         result = runtime.run(er300)
         assert result.rounds == 3
-
-
-class TestPipeline:
-    def test_pipeline_result_fields(self, er300):
-        from repro.algorithms.components import connected_components
-
-        pipe = Pipeline(RandomUniformSampling(0.5), lambda g: connected_components(g).num_components)
-        res = pipe.run(er300, seed=1)
-        assert 0.0 < res.compression_ratio < 1.0
-        assert res.edge_reduction == pytest.approx(1.0 - res.compression_ratio)
-        assert res.original_output == connected_components(er300).num_components
-        assert res.compression_seconds > 0
-
-    def test_pipeline_with_plain_callable(self, er300):
-        pipe = Pipeline(lambda g: g, lambda g: g.num_edges)
-        res = pipe.run(er300)
-        assert res.compression_ratio == 1.0
-        assert res.original_output == res.compressed_output
-
-    def test_repeats_validation(self, er300):
-        with pytest.raises(ValueError):
-            Pipeline(lambda g: g, lambda g: 0, repeats=0)

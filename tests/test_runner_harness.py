@@ -96,6 +96,75 @@ class TestRunSweep:
                 "wall_seconds", "grids", "store_stats"} <= set(record)
 
 
+class TestPerfFold:
+    """Job records fold their grids, sweep records fold their jobs."""
+
+    #: Registry metric -> flat counter of the sweep record.
+    RUNNER_METRICS = {
+        "repro.runner.cells_scheduled": "cells_scheduled",
+        "repro.runner.cache_hits": "cache_hits",
+        "repro.runner.cache_misses": "cache_misses",
+        "repro.runner.task_retries": "retries",
+        "repro.runner.pool_rebuilds": "pool_rebuilds",
+        "repro.runner.store_write_retries": "store_write_retries",
+    }
+
+    @staticmethod
+    def _assert_sum(total, parts):
+        from repro.runner.parallel import PERF_COUNTERS
+
+        for key in PERF_COUNTERS:
+            assert total[key] == pytest.approx(sum(p[key] for p in parts)), key
+        for key in ("failed_cells", "store_write_failures"):
+            assert len(total[key]) == sum(len(p[key]) for p in parts), key
+        cells = sum(w["cells"] for w in total["workers"].values())
+        assert cells == sum(
+            w["cells"] for p in parts for w in p["workers"].values()
+        )
+
+    def _sweep(self, tiny_sweep, loader, store, monkeypatch):
+        import repro.runner.harness as harness
+
+        jobs = []
+        real = harness.execute_job
+
+        def spy(job, **kwargs):
+            jobs.append(real(job, **kwargs))
+            return jobs[-1]
+
+        monkeypatch.setattr(harness, "execute_job", spy)
+        result = run_sweep(tiny_sweep, graph_loader=loader, store=store, jobs=2)
+        return result.perf, [job.perf for job in jobs]
+
+    def test_cold_then_warm_counters_fold(
+        self, tiny_sweep, loader, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        for run in ("cold", "warm"):
+            sweep, jobs = self._sweep(tiny_sweep, loader, store, monkeypatch)
+            assert [job["graph"] for job in jobs] == ["a", "b"]
+            for job in jobs:
+                assert [g["seed"] for g in job["grids"]] == [0, 1]
+                self._assert_sum(job, job["grids"])
+            self._assert_sum(sweep, jobs)
+            assert sweep["grids"] == [g for job in jobs for g in job["grids"]]
+            metrics = sweep["metrics"]
+            runner = {k for k in metrics if k.startswith("repro.runner.")}
+            assert runner == set(self.RUNNER_METRICS) | {"repro.runner.failed_cells"}
+            for name, key in self.RUNNER_METRICS.items():
+                assert metrics[name] == sweep[key], name
+            assert metrics["repro.runner.failed_cells"] == len(sweep["failed_cells"])
+            assert metrics["repro.analysis.hits"] == sweep["analysis_hits"]
+            assert metrics["repro.analysis.misses"] == sweep["analysis_misses"]
+            assert sweep["cells_scheduled"] == 16
+            workers = sum(w["cells"] for w in sweep["workers"].values())
+            if run == "cold":
+                assert sweep["cache_misses"] == workers == 16
+            else:
+                assert sweep["cache_hits"] == 16
+                assert sweep["cache_misses"] == workers == 0
+
+
 class TestRegistry:
     def test_builtin_sweeps_registered(self):
         assert {"smoke", "fig5", "table5"} <= set(available_sweeps())

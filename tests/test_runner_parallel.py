@@ -218,3 +218,67 @@ class TestWorkerCompressionCache:
         # 2 schemes x 2 algorithms = 4 tasks, but one compression per
         # scheme: the run cache carries across same-scheme tasks.
         assert len(calls) == len(SCHEMES)
+
+
+class TestMergePerf:
+    def test_sums_counters_tags_manifests_and_merges_workers(self):
+        from repro.runner.parallel import PERF_COUNTERS, merge_perf, new_perf
+
+        first = new_perf(
+            cache_hits=1,
+            cache_misses=2,
+            compress_seconds=0.5,
+            analysis_cache={"hits": 1, "misses": 0, "by_analysis": {
+                "triangles": {"hits": 1, "misses": 0}}},
+            failed_cells=[{"scheme": "s", "seed": 0, "algorithm": "pr",
+                           "error": "E", "attempts": 3}],
+            workers={"7": {"pid": 7, "load_seconds": 0.1, "load_mode": "shm",
+                           "peak_rss_bytes": 100, "private_bytes": None,
+                           "cells": 2}},
+        )
+        second = new_perf(
+            cache_misses=3,
+            compress_seconds=0.25,
+            analysis_cache={"hits": 0, "misses": 2, "by_analysis": {
+                "triangles": {"hits": 0, "misses": 2}}},
+            store_write_failures=[{"digest": "d", "error": "E", "attempts": 3}],
+            workers={
+                "7": {"pid": 7, "load_seconds": 9.0, "load_mode": "npz",
+                      "peak_rss_bytes": 50, "private_bytes": 30, "cells": 1},
+                "8": {"pid": 8, "load_seconds": 0.2, "load_mode": "shm",
+                      "peak_rss_bytes": None, "private_bytes": 10, "cells": 4},
+            },
+        )
+        total = new_perf(jobs=2)
+        assert merge_perf(total, first, graph="a") is total
+        merge_perf(total, second, graph="b")
+
+        assert total["jobs"] == 2
+        assert (total["cache_hits"], total["cache_misses"]) == (1, 5)
+        assert total["compress_seconds"] == pytest.approx(0.75)
+        assert set(PERF_COUNTERS) <= set(total)
+        assert total["failed_cells"] == [{"graph": "a", **first["failed_cells"][0]}]
+        assert total["store_write_failures"] == [
+            {"graph": "b", **second["store_write_failures"][0]}
+        ]
+        assert total["analysis_cache"] == {
+            "hits": 1, "misses": 2,
+            "by_analysis": {"triangles": {"hits": 1, "misses": 2}},
+        }
+        seven = total["workers"]["7"]
+        assert seven["cells"] == 3
+        assert seven["peak_rss_bytes"] == 100  # max, lifetime high-water
+        assert seven["private_bytes"] == 30  # None means "not measured"
+        assert (seven["load_seconds"], seven["load_mode"]) == (0.1, "shm")
+        assert total["workers"]["8"]["peak_rss_bytes"] is None
+        # The parts are copied, never aliased.
+        assert first["workers"]["7"]["cells"] == 2
+
+    def test_pooled_grid_workers_account_every_computed_cell(self, plc300):
+        session = Session(plc300, seed=0, jobs=2)
+        session.grid(SCHEMES, ALGS)
+        perf = session.last_grid_perf
+        cells = sum(w["cells"] for w in perf["workers"].values())
+        assert cells == perf["cache_misses"] == perf["cells_scheduled"]
+        assert perf["analysis_hits"] == perf["analysis_cache"]["hits"]
+        assert perf["analysis_misses"] == perf["analysis_cache"]["misses"]

@@ -94,3 +94,41 @@ class TestShardSweep:
         )
         assert perf["cells"] == len(table) > 0
         assert perf["failed_cells"] == []
+
+    def test_perf_totals_fold_every_shard(self, er300, tmp_path):
+        from repro.runner.store import ArtifactStore
+
+        ss = shard_graph(er300, tmp_path / "s", num_shards=2)
+        store = ArtifactStore(tmp_path / "store")
+        algs = ["pr", "cc"]
+        _, cold = sweep_shards(ss, SCHEMES, algs, seed=3, jobs=2, store=store)
+        shards = cold["shards"]
+        assert cold["cache_misses"] == sum(p["cache_misses"] for p in shards) > 0
+        assert cold["cells_scheduled"] == sum(p["cells_scheduled"] for p in shards)
+        assert cold["compress_seconds"] > 0
+        assert cold["retries"] == 0
+        # Pooled: every computed cell group is attributed to a worker.
+        cells = sum(w["cells"] for w in cold["workers"].values())
+        assert cells == cold["cells_scheduled"] == cold["cache_misses"]
+
+        _, warm = sweep_shards(ss, SCHEMES, algs, seed=3, jobs=2, store=store)
+        assert warm["cache_misses"] == 0
+        assert warm["cache_hits"] == warm["cells_scheduled"] == cold["cells_scheduled"]
+
+    def test_quarantined_cells_carry_their_shard(self, er300, tmp_path):
+        from repro.algorithms import register_algorithm, unregister_algorithm
+
+        @register_algorithm("tmp_shard_always_fails", adapter="scalar")
+        def tmp_shard_always_fails(g):
+            raise RuntimeError("poison")
+
+        ss = shard_graph(er300, tmp_path / "s", num_shards=2)
+        try:
+            _, perf = sweep_shards(
+                ss, SCHEMES, ["tmp_shard_always_fails"], seed=3,
+                retry={"max_attempts": 1},
+            )
+        finally:
+            unregister_algorithm("tmp_shard_always_fails")
+        assert [f["shard"] for f in perf["failed_cells"]] == [0, 1]
+        assert all("poison" in f["error"] for f in perf["failed_cells"])
