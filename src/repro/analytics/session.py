@@ -372,12 +372,6 @@ class Session:
         fans grid cells out over a process pool
         (:mod:`repro.runner.parallel`).  ``None``/``0``/``1`` stay
         in-process.
-    graph_load:
-        How pooled workers obtain the graph: ``"shm"`` attaches read-only
-        views over one shared-memory segment (zero copy), ``"npz"``
-        re-loads the classic snapshot into private memory, ``"mmap"``
-        memory-maps an exploded (v2) snapshot for out-of-core sweeps, and
-        ``"auto"`` (default) tries shared memory and falls back to npz.
     trace:
         Turn on span tracing (:mod:`repro.obs.spans`) for this process.
         ``True`` enables the global tracer; a path additionally makes
@@ -400,7 +394,6 @@ class Session:
         jobs: int | None = None,
         retry=None,
         trace=None,
-        graph_load: str = "auto",
     ):
         self.graph = graph
         self.seed = seed
@@ -412,13 +405,6 @@ class Session:
 
         self.store = ArtifactStore.of(store)
         self.jobs = jobs
-        from repro.runner.parallel import GRAPH_LOAD_MODES
-
-        if graph_load not in GRAPH_LOAD_MODES:
-            raise ValueError(
-                f"graph_load must be one of {GRAPH_LOAD_MODES}, got {graph_load!r}"
-            )
-        self.graph_load = graph_load
         #: Retry/backoff/timeout policy for grid execution — a
         #: :class:`repro.runner.parallel.RetryPolicy`, a dict of its
         #: fields, or None for the defaults (3 attempts, capped

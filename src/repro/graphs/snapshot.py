@@ -11,16 +11,18 @@ artifact store keys graphs under (see
 
 Two layouts share one loader:
 
-- **v1** (``SNAPSHOT_VERSION``): a single ``.npz`` archive.  Compact and
-  one-file, but ``np.load(mmap_mode=...)`` cannot memory-map arrays that
-  live *inside* a zip archive, so a v1 snapshot always decompresses into
-  private process memory.
+- **v1** (``SNAPSHOT_VERSION``): a single ``.npz`` archive written with
+  ``np.savez`` (uncompressed).  One file, the portable export (fuzz
+  failure artifacts use it), but ``np.load(mmap_mode=...)`` cannot
+  memory-map arrays that live *inside* a zip archive, so a v1 snapshot
+  always loads into private process memory.
 - **v2** (``EXPLODED_SNAPSHOT_VERSION``): an "exploded" directory of raw
   ``.npy`` sidecars plus a ``header.json`` manifest.  Each sidecar is a
   plain flat file, so ``load_snapshot(path, mmap=True)`` maps the arrays
-  read-only straight off disk — graphs larger than RAM stream pages on
-  demand (the out-of-core shard scheduler in :mod:`repro.runner.shards`
-  rides this).
+  read-only straight off disk — pooled grid workers share one page-cache
+  copy, and graphs larger than RAM stream pages on demand (the
+  out-of-core shard scheduler in :mod:`repro.runner.shards` rides this).
+  The artifact store writes this layout.
 
 Both layouts are written atomically with the shared fileio discipline
 (temp file + fsync + ``os.replace``).  For v2 the sidecars land first and
@@ -31,7 +33,7 @@ unit — write content-addressed paths, as the store does, or fresh
 directories.)
 
 Loaded arrays are returned **read-only** (``flags.writeable = False``):
-``CSRGraph`` is immutable by contract, and snapshot/shared-memory buffers
+``CSRGraph`` is immutable by contract, and memory-mapped snapshot pages
 may be shared by many workers — accidental mutation must raise instead of
 silently corrupting every sibling.  Loads also cross-validate shapes and
 dtypes (:func:`validate_parts`), so a corrupt-but-well-formed file fails
@@ -104,8 +106,7 @@ def validate_parts(
     vertices — the checks are O(1) (shapes, dtypes, the two ``indptr``
     endpoints), so they cost nothing against mmap-backed arrays.
 
-    Shared by the snapshot loader and the shared-memory attach path
-    (:mod:`repro.runner.shm`): both hand arrays to
+    The snapshot loader runs it before handing arrays to
     :meth:`CSRGraph._from_parts`, which trusts its inputs.
     """
 
@@ -318,6 +319,13 @@ def _load_exploded(path: Path, *, mmap: bool) -> CSRGraph:
             f"{path} has snapshot version {version}; "
             f"this build reads {EXPLODED_SNAPSHOT_VERSION} (exploded)"
         )
+    n, directed = header.get("n"), header.get("directed")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SnapshotError(f"{path}: field 'n' is not an integer ({n!r})")
+    if not isinstance(directed, bool):
+        raise SnapshotError(
+            f"{path}: field 'directed' is not a boolean ({directed!r})"
+        )
     declared = header.get("arrays")
     if not isinstance(declared, dict):
         raise SnapshotError(f"{path}: field 'arrays' is missing from the header")
@@ -327,6 +335,11 @@ def _load_exploded(path: Path, *, mmap: bool) -> CSRGraph:
             meta = declared.get(name)
             if meta is None:
                 continue
+            if not isinstance(meta, dict):
+                raise SnapshotError(
+                    f"{path}: field {name!r} has a malformed header entry "
+                    f"({meta!r})"
+                )
             arr = np.load(
                 path / f"{name}.npy",
                 mmap_mode="r" if mmap else None,
@@ -343,12 +356,7 @@ def _load_exploded(path: Path, *, mmap: bool) -> CSRGraph:
                     f"{meta.get('dtype')}{meta.get('shape')})"
                 )
             parts[name] = arr
-        return _assemble(
-            int(header.get("n", -1)),
-            bool(header.get("directed", False)),
-            parts,
-            source=path,
-        )
+        return _assemble(n, directed, parts, source=path)
     except SnapshotError:
         raise
     except (OSError, ValueError, KeyError, EOFError) as err:

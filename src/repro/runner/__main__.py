@@ -45,14 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N", help="worker processes (default 1)"
     )
     parser.add_argument(
-        "--load-mode",
-        choices=("auto", "shm", "npz", "mmap"),
-        default="auto",
-        help="how workers obtain the graph: shm attaches one shared-memory "
-        "copy, npz re-loads the snapshot per worker, mmap memory-maps an "
-        "exploded snapshot; auto (default) tries shm then falls back to npz",
-    )
-    parser.add_argument(
         "--seeds", type=int, nargs="+", metavar="S", help="override the sweep's seeds"
     )
     parser.add_argument(
@@ -109,7 +101,6 @@ def main(argv=None) -> int:
         jobs=args.jobs,
         seeds=args.seeds,
         graphs=args.graphs,
-        graph_load=args.load_mode,
     )
     record_path = write_bench_record(result, args.out)
 

@@ -134,7 +134,6 @@ def run_sweep(
     seeds=None,
     graphs=None,
     graph_loader=None,
-    graph_load: str | None = None,
 ) -> SweepResult:
     """Execute a sweep (by name or :class:`SweepSpec`), resumably.
 
@@ -158,10 +157,6 @@ def run_sweep(
         ``name -> CSRGraph`` override replacing the default
         :func:`repro.graphs.datasets.load` (benchmark fixtures pass their
         session-scoped cache here).
-    graph_load:
-        Worker graph-delivery mode for pooled grids (``"auto"``/``"shm"``/
-        ``"npz"``/``"mmap"`` — :mod:`repro.runner.parallel`); the BENCH
-        record's per-worker stats carry the mode each worker used.
 
     Returns a :class:`SweepResult` whose table spans every (graph, seed)
     grid, with each cell's ``graph`` column filled in.  Its perf record is
@@ -184,7 +179,6 @@ def run_sweep(
     grids = []
     perf = new_perf(
         jobs=jobs or 1,
-        graph_load=graph_load or "auto",
         store=None if store is None else str(store.root),
         graphs=list(spec.graphs),
         seeds=list(spec.seeds),
@@ -195,8 +189,7 @@ def run_sweep(
         for graph_name in spec.graphs:
             job = JobSpec.from_sweep(spec, graph_name)
             result = execute_job(
-                job, store=store, jobs=jobs, graph_loader=loader, retry=retry,
-                graph_load=graph_load,
+                job, store=store, jobs=jobs, graph_loader=loader, retry=retry
             )
             cells.extend(result.table)
             grids.extend(result.perf["grids"])

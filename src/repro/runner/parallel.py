@@ -11,26 +11,14 @@ plan (schemes × algorithm runners × metric plans), turns it into one
   ``ProcessPoolExecutor`` (``jobs > 1``), streaming completed cells back
   as workers finish and writing each straight into the store.
 
-Worker processes never receive the graph over the pipe.  How they get it
-is the session's ``graph_load`` mode:
-
-- ``"shm"`` (and the ``"auto"`` default): the parent publishes the CSR
-  arrays once into a shared-memory segment (:mod:`repro.runner.shm`) and
-  workers attach read-only views in their initializer — zero-copy, near
-  zero load time, aggregate memory ≈ one CSR no matter the pool width.
-  ``"auto"`` falls back to ``"npz"`` when shared memory is unavailable
-  (the perf record notes the fallback).
-- ``"npz"``: the historical path — the parent snapshots the graph
-  (:mod:`repro.graphs.snapshot` — into the store keyed by fingerprint,
-  or a temp directory when no store is configured) and each worker
-  decompresses the snapshot into private memory.
-- ``"mmap"``: the parent writes the *exploded* (v2) snapshot layout and
-  workers memory-map it read-only — out-of-core operation for graphs
-  bigger than RAM (see also :mod:`repro.runner.shards`).
-
-The shared segment is a pool-lifetime resource: pool rebuilds after a
-dead worker re-attach from the same manifest, and the parent unlinks it
-in the scheduler's ``finally`` — a crashed sweep never leaks a segment.
+Worker processes never receive the graph over the pipe.  The parent
+writes it once as an *exploded* snapshot (:mod:`repro.graphs.snapshot` —
+into the store keyed by fingerprint, or a temporary directory removed
+when the grid ends) and every worker memory-maps that snapshot read-only
+in its initializer: near zero load time, one page-cache copy of the CSR
+arrays no matter the pool width, and graphs bigger than RAM page in on
+demand (see also :mod:`repro.runner.shards`).  Pool rebuilds after a
+dead worker map the same snapshot again.
 Every worker keeps its own
 :class:`~repro.analytics.session.Session`, so original-graph baselines
 are computed at most once per algorithm per worker and compressions at
@@ -104,16 +92,11 @@ __all__ = [
     "CellTask",
     "RetryPolicy",
     "FailedCell",
-    "GRAPH_LOAD_MODES",
     "PERF_COUNTERS",
     "new_perf",
     "merge_perf",
     "merge_workers",
 ]
-
-#: Worker graph-delivery modes a session may request (``"auto"`` picks
-#: shared memory and falls back to the npz snapshot).
-GRAPH_LOAD_MODES = ("auto", "shm", "npz", "mmap")
 
 #: The additive counters of a perf record, each mapped to its registry
 #: metric name (``None``: no metric).  Grid, job, sweep and shard-sweep
@@ -179,8 +162,8 @@ def merge_workers(total: dict, workers: dict | None) -> None:
     """Fold pid-keyed worker stats into ``total``.
 
     Cells sum; peak RSS and private (USS) bytes take the max (lifetime
-    high-water marks); the graph load time and mode are per-process and
-    kept from first sight.
+    high-water marks); the graph load time is per-process and kept from
+    first sight.
     """
     for pid, stats in (workers or {}).items():
         slot = total.get(pid)
@@ -287,25 +270,14 @@ class CellTask:
 _WORKER: dict = {}
 
 
-def _load_worker_graph(graph_ref: dict):
-    """Materialize the parent's graph from its transport reference.
-
-    ``graph_ref["mode"]`` selects the delivery: ``"shm"`` attaches
-    read-only views over the parent's shared segment (zero copy),
-    ``"mmap"`` memory-maps an exploded snapshot (out-of-core), ``"npz"``
-    decompresses the classic snapshot into private memory.
-    """
-    mode = graph_ref["mode"]
-    if mode == "shm":
-        from repro.runner.shm import attach_graph
-
-        return attach_graph(graph_ref["manifest"])
+def _load_worker_graph(path: str):
+    """Memory-map the parent's exploded snapshot read-only (zero copy)."""
     from repro.graphs.snapshot import load_snapshot
 
-    return load_snapshot(graph_ref["path"], mmap=(mode == "mmap"))
+    return load_snapshot(path, mmap=True)
 
 
-def _init_worker(graph_ref: dict, session_kwargs: dict, trace: bool = False) -> None:
+def _init_worker(graph_path: str, session_kwargs: dict, trace: bool = False) -> None:
     from repro.analytics.session import Session
 
     # Under the fork start method the child inherits the parent tracer's
@@ -315,19 +287,12 @@ def _init_worker(graph_ref: dict, session_kwargs: dict, trace: bool = False) -> 
         # The parent traced this sweep; this worker records its own spans
         # and ships them back with each cell result (see _worker_cell).
         enable_tracing()
-    # Historical span name: this is the worker's graph-acquisition step,
-    # whatever the mode (the obs contract keys on the name).
-    with span(
-        "worker.load_snapshot",
-        mode=graph_ref["mode"],
-        ref=graph_ref.get("path") or graph_ref.get("manifest", {}).get("segment"),
-    ):
+    with span("worker.load_snapshot", ref=graph_path):
         with stopwatch() as sw:
-            graph = _load_worker_graph(graph_ref)
+            graph = _load_worker_graph(graph_path)
     _WORKER["session"] = Session(graph, **session_kwargs)
     _WORKER["runs"] = {}
     _WORKER["load_seconds"] = sw.seconds
-    _WORKER["load_mode"] = graph_ref["mode"]
 
 
 def _worker_cell(task: dict) -> tuple[dict, list[dict], dict]:
@@ -346,10 +311,9 @@ def _worker_cell(task: dict) -> tuple[dict, list[dict], dict]:
     perf["worker"] = {
         "pid": os.getpid(),
         "load_seconds": _WORKER.get("load_seconds", 0.0),
-        "load_mode": _WORKER.get("load_mode", "npz"),
         "peak_rss_bytes": peak_rss_bytes(),
-        # USS: memory private to this worker.  Shared-memory graph pages
-        # inflate peak_rss_bytes in every attacher but not this number —
+        # USS: memory private to this worker.  Mapped snapshot pages
+        # inflate peak_rss_bytes in every worker but not this number —
         # it is what proves "aggregate RSS ≈ one copy".
         "private_bytes": private_bytes(),
     }
@@ -443,8 +407,8 @@ def run_grid(session, built, runners, plans, *, seed):
     (scheme-major, then algorithm, then metric) order — minus any
     quarantined cells, which appear in ``perf["failed_cells"]`` instead —
     and ``perf`` is a :func:`new_perf` record for this call (the
-    :data:`PERF_COUNTERS` and manifests) plus ``jobs``, ``wall_seconds``,
-    the pooled graph-load mode and, with a store, ``store_stats``.
+    :data:`PERF_COUNTERS` and manifests) plus ``jobs``, ``wall_seconds``
+    and, with a store, ``store_stats``.
     Callers total several grids with :func:`merge_perf`.
     """
     store = session.store
@@ -595,68 +559,9 @@ def _run_pool(
     requeue the task with backoff, a broken pool (dead worker) or a
     per-task timeout (hung worker, killed here) rebuilds it and requeues
     the in-flight tasks, and tasks out of attempts are quarantined.
+    Workers map the snapshot :func:`_write_snapshot` writes first; a
+    temporary one is removed on the way out, crash or not.
     """
-    tmpdir: str | None = None
-    shared = None
-    mode = getattr(session, "graph_load", "auto") or "auto"
-
-    def _durably(write):
-        # The snapshot is the one write the sweep cannot proceed without,
-        # so transient failures retry (a torn/damaged file is rewritten —
-        # add_graph validates existing snapshots) and exhaustion raises.
-        for attempt in range(1, retry.max_attempts + 1):
-            try:
-                return write()
-            except Exception:  # noqa: BLE001 — flaky disks throw anything
-                if attempt >= retry.max_attempts:
-                    raise
-                perf["store_write_retries"] += 1
-                counter("repro.runner.store_write_retries").inc()
-                time.sleep(retry.backoff(attempt, rng))
-
-    if mode in ("auto", "shm"):
-        from repro.runner.shm import SharedGraph
-
-        try:
-            shared = SharedGraph(session.graph, fingerprint=fingerprint)
-        except Exception as err:  # noqa: BLE001 — /dev/shm full, cgroup caps…
-            if mode == "shm":
-                raise
-            perf["graph_load_fallback"] = f"{type(err).__name__}: {err}"
-            mode = "npz"
-        else:
-            mode = "shm"
-            graph_ref = {"mode": "shm", "manifest": shared.manifest}
-            perf["shm_segment"] = shared.name
-            if store is not None:
-                # Workers never read it, but the store's durable copy
-                # still backs warm replays and shard cutting.
-                _durably(lambda: store.add_graph(session.graph, fingerprint))
-    if mode == "npz":
-        if store is not None:
-            _, snapshot_path = _durably(
-                lambda: store.add_graph(session.graph, fingerprint)
-            )
-        else:
-            from repro.graphs.snapshot import save_snapshot
-
-            tmpdir = tempfile.mkdtemp(prefix="repro-grid-")
-            snapshot_path = save_snapshot(session.graph, Path(tmpdir) / "graph.npz")
-        graph_ref = {"mode": "npz", "path": str(snapshot_path)}
-    elif mode == "mmap":
-        if store is not None:
-            _, snapshot_path = _durably(
-                lambda: store.add_graph_exploded(session.graph, fingerprint)
-            )
-        else:
-            from repro.graphs.snapshot import save_snapshot
-
-            tmpdir = tempfile.mkdtemp(prefix="repro-grid-")
-            snapshot_path = save_snapshot(
-                session.graph, Path(tmpdir) / "graph.snap", layout="exploded"
-            )
-        graph_ref = {"mode": "mmap", "path": str(snapshot_path)}
-    perf["graph_load"] = mode
     session_kwargs = {
         "seed": session.seed,
         "bfs_root": session.bfs_root,
@@ -667,7 +572,7 @@ def _run_pool(
         return ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(graph_ref, session_kwargs, tracing_enabled()),
+            initargs=(str(snapshot_path), session_kwargs, tracing_enabled()),
         )
 
     pool: ProcessPoolExecutor | None = None
@@ -717,7 +622,11 @@ def _run_pool(
         counter("repro.runner.pool_rebuilds").inc()
         shutdown_pool(kill=(kind == "timeout"))
 
+    tmpdir = None if store is not None else tempfile.mkdtemp(prefix="repro-grid-")
     try:
+        snapshot_path = _write_snapshot(
+            session.graph, store, fingerprint, tmpdir, retry, rng, perf
+        )
         while ready or window:
             now = time.monotonic()
             while ready and len(window) < jobs and ready[0][0] <= now:
@@ -809,12 +718,35 @@ def _run_pool(
                         fail_or_requeue(task, None, charge=False)
     finally:
         shutdown_pool()
-        if shared is not None:
-            # Unlink exactly once, crash or not: workers are gone (their
-            # mappings died with them), so the segment is freed here.
-            shared.close()
         if tmpdir is not None:
             shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _write_snapshot(graph, store, fingerprint, tmpdir, retry: RetryPolicy, rng, perf):
+    """Write the exploded snapshot pool workers map; returns its path.
+
+    With a store it lands there keyed by ``fingerprint`` (reused when
+    intact, so warm replays and shard cutting share it), otherwise under
+    ``tmpdir``.  It is the one write the grid cannot proceed without, so
+    transient failures retry — a torn snapshot is rewritten, since
+    :meth:`~repro.runner.store.ArtifactStore.add_graph` reuses only
+    intact ones — and exhaustion raises.
+    """
+    from repro.graphs.snapshot import save_snapshot
+
+    for attempt in range(1, retry.max_attempts + 1):
+        try:
+            if store is not None:
+                return store.add_graph(graph, fingerprint)[1]
+            return save_snapshot(
+                graph, Path(tmpdir) / "graph.snap", layout="exploded"
+            )
+        except Exception:  # noqa: BLE001 — flaky disks throw anything
+            if attempt >= retry.max_attempts:
+                raise
+            perf["store_write_retries"] += 1
+            counter("repro.runner.store_write_retries").inc()
+            time.sleep(retry.backoff(attempt, rng))
 
 
 def _merge_analysis(total: dict, delta: dict | None) -> None:

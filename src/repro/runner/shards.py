@@ -1,23 +1,24 @@
 """Out-of-core sweeps: cut a graph into mmap-able CSR shards, sweep each.
 
-A graph too big to hold N+1 times (parent plus a pool of workers) is
-handled by :mod:`repro.runner.shm` — one shared copy.  A graph too big
-to hold even *once* needs the disk as backing store, and that is this
-module: :func:`shard_graph` cuts the edge set into contiguous (or
-degree-balanced) ranges with :class:`repro.distributed.partition.
-EdgePartition`, materializes each range as a vertex-preserving subgraph
-(``CSRGraph.keep_edges`` — bit-identical to a full rebuild), and writes
-every shard in the *exploded* (v2) snapshot layout that
-``load_snapshot(..., mmap=True)`` can memory-map.  A ``manifest.json``
+A pooled grid already shares one copy of its graph: workers memory-map
+the exploded snapshot the parent writes (:mod:`repro.runner.parallel`).
+A graph too big to hold even *once* needs the disk as backing store for
+the parent too, and that is this module: :func:`shard_graph` cuts the
+edge set into contiguous (or degree-balanced) ranges with
+:class:`repro.distributed.partition.EdgePartition`, materializes each
+range as a vertex-preserving subgraph (``CSRGraph.keep_edges`` —
+bit-identical to a full rebuild), and writes every shard in the
+*exploded* (v2) snapshot layout that ``load_snapshot(..., mmap=True)``
+can memory-map.  A ``manifest.json``
 (written last, atomically — the same write-sidecars-then-commit
 discipline as the exploded snapshot itself) makes the shard set
 self-describing and damage detectable.
 
-:func:`sweep_shards` then drives a normal grid over every shard with
-``graph_load="mmap"`` workers: the parent touches each shard through a
-read-only mapping (pages the kernel can drop under pressure) and workers
-map the same bytes — at no point does the full graph, or even one full
-private shard copy per worker, have to be resident.  Cells are labeled
+:func:`sweep_shards` then drives a normal grid over every shard: the
+parent touches each shard through a read-only mapping (pages the kernel
+can drop under pressure) and pooled workers map a snapshot of it — at
+no point does the full graph, or even one full private shard copy per
+worker, have to be resident.  Cells are labeled
 ``graph="shard:<i>"`` so per-shard results stay attributable and the
 merged table is a plain :class:`~repro.analytics.grid.SweepTable`.
 """
@@ -212,10 +213,10 @@ def sweep_shards(
     """Run one grid per shard over memory-mapped inputs; merged results.
 
     ``shard_set`` is a :class:`ShardSet` or a path to one.  Each shard
-    gets its own :class:`~repro.analytics.session.Session` with
-    ``graph_load="mmap"`` — pooled workers map the shard's exploded
-    snapshot instead of holding private copies, so peak residency is
-    bounded by one shard's touched pages, not the whole graph.
+    gets its own :class:`~repro.analytics.session.Session` over the
+    shard's mapped graph; pooled workers map an exploded snapshot of it
+    instead of holding private copies, so peak residency is bounded by
+    one shard's touched pages, not the whole graph.
 
     Returns ``(table, perf)``: a :class:`SweepTable` whose cells carry
     ``graph="shard:<i>"`` labels, and the per-shard grid records folded
@@ -243,7 +244,6 @@ def sweep_shards(
                 jobs=jobs,
                 store=store,
                 retry=retry,
-                graph_load="mmap",
                 **(session_kwargs or {}),
             )
             table = session.grid(schemes, algorithms, metrics, seed=seed)

@@ -31,8 +31,8 @@ Durability discipline:
 Payloads are JSON (`cells` + perf counters); bulky numeric artifacts ride
 in an optional ``.npz`` sidecar keyed by the same digest.  Graph
 snapshots (:mod:`repro.graphs.snapshot`) live under ``graphs/`` keyed by
-fingerprint, which is how parallel workers reload the input graph without
-re-parsing edge lists.
+fingerprint, in the exploded layout pooled grid workers memory-map — the
+input graph is never re-parsed from edge lists.
 """
 
 from __future__ import annotations
@@ -49,14 +49,7 @@ import numpy as np
 from repro.algorithms.spec import AlgorithmSpec
 from repro.compress.spec import SchemeSpec
 from repro.graphs.csr import CSRGraph
-from repro.graphs.snapshot import (
-    EXPLODED_SNAPSHOT_VERSION,
-    HEADER_NAME,
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.graphs.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.utils.fileio import atomic_write
 
 __all__ = ["SCHEMA_VERSION", "ArtifactStore", "CellKey", "StoreStats"]
@@ -202,7 +195,10 @@ class ArtifactStore:
 
         cells/<d0d1>/<digest>.json   one record per cell group
         arrays/<d0d1>/<digest>.npz   optional numeric sidecars
-        graphs/<fingerprint>.npz     binary CSR snapshots
+        graphs/<fingerprint>.snap/   exploded CSR snapshots (header.json
+                                     plus one .npy per array); a
+                                     graphs/<fingerprint>.npz written by
+                                     older stores is still read
 
     The two-hex-digit shard directories keep any single directory small
     for large sweeps.  All methods are safe against concurrent writers of
@@ -351,49 +347,45 @@ class ArtifactStore:
     # -- graph snapshots ---------------------------------------------------- #
 
     def graph_path(self, fingerprint: str) -> Path | None:
-        """Path of the stored snapshot for ``fingerprint``, if present."""
-        path = self.root / "graphs" / f"{fingerprint}.npz"
-        return path if path.exists() else None
+        """Path of the stored snapshot for ``fingerprint``, if present.
+
+        The exploded ``.snap`` directory wins; a single-file ``.npz`` is
+        the layout stores wrote before, still served so they keep working.
+        """
+        graphs = self.root / "graphs"
+        for path in (graphs / f"{fingerprint}.snap", graphs / f"{fingerprint}.npz"):
+            if path.exists():
+                return path
+        return None
 
     def add_graph(self, g: CSRGraph, fingerprint: str | None = None) -> tuple[str, Path]:
         """Snapshot ``g`` into the store (idempotent); (fingerprint, path).
 
-        An existing snapshot is reused only if it still opens as the
-        current snapshot version — a damaged or stale file is rewritten,
-        keeping the store's damage-is-a-miss contract (workers would
-        otherwise crash loading it)."""
-        if fingerprint is None:
-            from repro.runner.fingerprint import graph_fingerprint
-
-            fingerprint = graph_fingerprint(g)
-        path = self.root / "graphs" / f"{fingerprint}.npz"
-        if not _snapshot_readable(path):
-            save_snapshot(g, path)
-        return fingerprint, path
-
-    def add_graph_exploded(
-        self, g: CSRGraph, fingerprint: str | None = None
-    ) -> tuple[str, Path]:
-        """Store ``g`` in the exploded (v2) layout; (fingerprint, path).
-
-        The exploded snapshot — a ``graphs/<fingerprint>.snap/`` directory
-        of raw ``.npy`` sidecars plus a header — is the one layout
-        ``load_snapshot(..., mmap=True)`` can memory-map, so this is what
-        out-of-core (``graph_load="mmap"``) sweeps and shard sets read.
-        Idempotent with the same damage-is-a-miss contract as
-        :meth:`add_graph`: an unreadable directory is rewritten.
+        The snapshot is a ``graphs/<fingerprint>.snap/`` directory in the
+        exploded layout, which ``load_snapshot(path, mmap=True)`` maps
+        read-only — what pooled grid workers do.  An existing snapshot
+        is reused only if it still maps as a complete, self-consistent
+        graph; a damaged one is rewritten, keeping the store's
+        damage-is-a-miss contract (workers would otherwise crash
+        loading it).
         """
         if fingerprint is None:
             from repro.runner.fingerprint import graph_fingerprint
 
             fingerprint = graph_fingerprint(g)
         path = self.root / "graphs" / f"{fingerprint}.snap"
-        if not _exploded_readable(path):
+        try:
+            load_snapshot(path, mmap=True)
+        except SnapshotError:
             save_snapshot(g, path, layout="exploded")
         return fingerprint, path
 
     def load_graph(self, fingerprint: str) -> CSRGraph | None:
         """Reload a stored graph snapshot; damaged snapshots read as None.
+
+        The arrays are read into private memory, not mapped, so a
+        long-lived process (the compression service) holds no file
+        mappings into the store.
 
         The loaded graph adopts any cached analyses of a live graph with
         the same content fingerprint (triangle lists etc. are functions
@@ -411,31 +403,3 @@ class ArtifactStore:
 
         analysis_cache().adopt(g, fingerprint)
         return g
-
-
-def _snapshot_readable(path: Path) -> bool:
-    """Cheap open-and-version probe of a snapshot file.
-
-    ``np.load`` on an npz is lazy, so this reads the archive directory
-    plus the one-element version array — it catches truncation and
-    foreign/old files without pulling the edge arrays into memory.
-    """
-    try:
-        with np.load(path) as data:
-            return int(data["version"]) == SNAPSHOT_VERSION
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return False
-
-
-def _exploded_readable(path: Path) -> bool:
-    """Header-only probe of an exploded (v2) snapshot directory.
-
-    The header is written last (after every sidecar is durable), so a
-    parseable header of the right version implies a complete write; any
-    sidecar damage is still caught by the loader's per-array checks.
-    """
-    try:
-        header = json.loads((path / HEADER_NAME).read_text())
-        return int(header.get("version", -1)) == EXPLODED_SNAPSHOT_VERSION
-    except (OSError, ValueError, KeyError):
-        return False

@@ -298,7 +298,7 @@ def load_job_graph(job: JobSpec, *, store=None, graph_loader=None):
 
 def execute_job(
     job: JobSpec, *, store=None, jobs: int | None = None, graph_loader=None,
-    retry=None, graph_load: str | None = None,
+    retry=None,
 ) -> JobResult:
     """Run one job to completion — the scheduler all front-ends share.
 
@@ -306,9 +306,7 @@ def execute_job(
     :class:`~repro.analytics.session.Session` does; cells already stored
     replay with zero recomputation.  ``retry`` (a
     :class:`~repro.runner.parallel.RetryPolicy` or dict) sets the grid's
-    fault-tolerance policy; ``graph_load`` selects how pooled workers
-    obtain the graph (``"auto"``/``"shm"``/``"npz"``/``"mmap"`` — see
-    :mod:`repro.runner.parallel`).  The returned perf dict is the
+    fault-tolerance policy.  The returned perf dict is the
     per-seed grid records folded with
     :func:`~repro.runner.parallel.merge_perf` (so it carries every
     :data:`~repro.runner.parallel.PERF_COUNTERS` counter and both
@@ -327,7 +325,6 @@ def execute_job(
         store=store,
         jobs=jobs,
         retry=retry,
-        graph_load=graph_load or "auto",
     )
     cells = []
     grids = []

@@ -417,22 +417,35 @@ def fastpath_identity(g: CSRGraph, keep_mask: np.ndarray) -> list[str]:
 
 def snapshot_roundtrip(g: CSRGraph, directory) -> list[str]:
     """Binary snapshot save/load must reproduce every buffer and keep the
-    content fingerprint stable (the artifact store's keying contract)."""
+    content fingerprint stable (the artifact store's keying contract).
+
+    Covers the single-file ``.npz`` export and the exploded layout the
+    store and pooled workers use, the latter both read and mapped."""
     from pathlib import Path
 
     from repro.graphs.snapshot import load_snapshot, save_snapshot
     from repro.runner.fingerprint import graph_fingerprint
 
-    path = Path(directory) / "roundtrip.npz"
+    directory = Path(directory)
+    npz = save_snapshot(g, directory / "roundtrip.npz")
+    exploded = save_snapshot(g, directory / "roundtrip.snap", layout="exploded")
+    routes = {
+        "npz": lambda: load_snapshot(npz),
+        "exploded": lambda: load_snapshot(exploded),
+        "exploded mmap": lambda: load_snapshot(exploded, mmap=True),
+    }
     fp0 = graph_fingerprint(g)
-    loaded = load_snapshot(save_snapshot(g, path))
     out: list[str] = []
-    if loaded.n != g.n or loaded.directed != g.directed:
-        out.append("snapshot changed n or directedness")
-    out += _compare_buffers(loaded, g, "after snapshot round trip")
-    fp1 = graph_fingerprint(loaded)
-    if fp1 != fp0:
-        out.append(f"fingerprint changed across snapshot: {fp0} -> {fp1}")
+    for name, load in routes.items():
+        loaded = load()
+        if loaded.n != g.n or loaded.directed != g.directed:
+            out.append(f"{name} snapshot changed n or directedness")
+        out += _compare_buffers(loaded, g, f"after {name} snapshot round trip")
+        fp1 = graph_fingerprint(loaded)
+        if fp1 != fp0:
+            out.append(
+                f"fingerprint changed across {name} snapshot: {fp0} -> {fp1}"
+            )
     return out
 
 

@@ -232,7 +232,7 @@ class TestMergePerf:
                 "triangles": {"hits": 1, "misses": 0}}},
             failed_cells=[{"scheme": "s", "seed": 0, "algorithm": "pr",
                            "error": "E", "attempts": 3}],
-            workers={"7": {"pid": 7, "load_seconds": 0.1, "load_mode": "shm",
+            workers={"7": {"pid": 7, "load_seconds": 0.1,
                            "peak_rss_bytes": 100, "private_bytes": None,
                            "cells": 2}},
         )
@@ -243,9 +243,9 @@ class TestMergePerf:
                 "triangles": {"hits": 0, "misses": 2}}},
             store_write_failures=[{"digest": "d", "error": "E", "attempts": 3}],
             workers={
-                "7": {"pid": 7, "load_seconds": 9.0, "load_mode": "npz",
+                "7": {"pid": 7, "load_seconds": 9.0,
                       "peak_rss_bytes": 50, "private_bytes": 30, "cells": 1},
-                "8": {"pid": 8, "load_seconds": 0.2, "load_mode": "shm",
+                "8": {"pid": 8, "load_seconds": 0.2,
                       "peak_rss_bytes": None, "private_bytes": 10, "cells": 4},
             },
         )
@@ -269,7 +269,7 @@ class TestMergePerf:
         assert seven["cells"] == 3
         assert seven["peak_rss_bytes"] == 100  # max, lifetime high-water
         assert seven["private_bytes"] == 30  # None means "not measured"
-        assert (seven["load_seconds"], seven["load_mode"]) == (0.1, "shm")
+        assert seven["load_seconds"] == 0.1  # per-process, first sight
         assert total["workers"]["8"]["peak_rss_bytes"] is None
         # The parts are copied, never aliased.
         assert first["workers"]["7"]["cells"] == 2

@@ -77,7 +77,7 @@ class TestShardSweep:
         ss = shard_graph(er300, tmp_path / "s", num_shards=2)
         table, perf = sweep_shards(ss, SCHEMES, ALGS, ["kl"], seed=3, jobs=2)
         assert perf["num_shards"] == 2
-        assert all(p["graph_load"] == "mmap" for p in perf["shards"])
+        assert all(p["workers"] for p in perf["shards"])
         for shard in ss.shards:
             label = f"shard:{shard.index}"
             mine = [c for c in table if c.graph == label]

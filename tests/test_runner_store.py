@@ -144,8 +144,9 @@ class TestGraphSnapshots:
 
     def test_add_graph_rewrites_damaged_snapshot(self, store, plc300):
         fp, path = store.add_graph(plc300)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])  # disk damage
+        sidecar = path / "indices.npy"
+        data = sidecar.read_bytes()
+        sidecar.write_bytes(data[: len(data) // 2])  # disk damage
         fp2, path2 = store.add_graph(plc300)
         assert (fp2, path2) == (fp, path)
         # The damaged file was replaced, not handed to workers as-is.
@@ -222,18 +223,58 @@ class TestExplodedSnapshots:
             save_snapshot(plc300, tmp_path / "g", layout="imploded")
 
     def test_add_graph_exploded_idempotent(self, store, plc300):
-        fp, path = store.add_graph_exploded(plc300)
+        fp, path = store.add_graph(plc300)
         assert fp == graph_fingerprint(plc300)
-        assert path.is_dir()
-        assert store.add_graph_exploded(plc300) == (fp, path)
+        assert path == store.root / "graphs" / f"{fp}.snap" and path.is_dir()
+        assert store.add_graph(plc300) == (fp, path)
         self._assert_same_graph(plc300, load_snapshot(path, mmap=True))
 
     def test_add_graph_exploded_rewrites_damage(self, store, plc300):
-        fp, path = store.add_graph_exploded(plc300)
+        fp, path = store.add_graph(plc300)
         (path / "header.json").write_text("{ torn")
-        fp2, path2 = store.add_graph_exploded(plc300)
+        fp2, path2 = store.add_graph(plc300)
         assert (fp2, path2) == (fp, path)
         self._assert_same_graph(plc300, load_snapshot(path2))
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda header: [], "header"),
+            (lambda header: {**header, "version": None}, "version"),
+            (lambda header: {**header, "n": None}, "'n'"),
+            (
+                lambda header: {
+                    **header, "arrays": {**header["arrays"], "indptr": [1, 2]}
+                },
+                "'indptr'",
+            ),
+        ],
+        ids=["not-an-object", "version-null", "n-null", "array-entry-list"],
+    )
+    def test_damaged_header_fields(self, store, plc300, damage, field):
+        fp, path = store.add_graph(plc300)
+        header_path = path / "header.json"
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps(damage(header)))
+        # The loader names the bad field; a store read is a miss, not a crash.
+        with pytest.raises(SnapshotError, match=field):
+            load_snapshot(path)
+        with pytest.raises(SnapshotError, match=field):
+            load_snapshot(path, mmap=True)
+        assert store.load_graph(fp) is None
+        # add_graph's probe never raises: the damaged snapshot is rewritten.
+        assert store.add_graph(plc300) == (fp, path)
+        self._assert_same_graph(plc300, load_snapshot(path, mmap=True))
+
+    def test_legacy_npz_store_still_serves(self, store, plc300):
+        # Stores written before the exploded layout hold graphs/<fp>.npz.
+        fp = graph_fingerprint(plc300)
+        legacy = save_snapshot(plc300, store.root / "graphs" / f"{fp}.npz")
+        assert store.graph_path(fp) == legacy
+        self._assert_same_graph(plc300, store.load_graph(fp))
+        # Adding the graph writes the exploded snapshot, which then wins.
+        _, path = store.add_graph(plc300)
+        assert store.graph_path(fp) == path != legacy
 
 
 class TestSnapshotValidation:

@@ -169,6 +169,24 @@ class TestExecution:
         result = execute_job(job, store=store)
         assert len(result.table) == job.cell_groups()
 
+    def test_legacy_npz_store_serves_fingerprint_jobs(self, graph, loader, tmp_path):
+        # A store written before the exploded layout holds only
+        # graphs/<fp>.npz; its fingerprint jobs still run, cold and warm.
+        from repro.graphs.snapshot import save_snapshot
+        from repro.runner.fingerprint import graph_fingerprint
+
+        store = ArtifactStore(tmp_path / "store")
+        fingerprint = graph_fingerprint(graph)
+        save_snapshot(graph, store.root / "graphs" / f"{fingerprint}.npz")
+        job = _job(graph=f"{FINGERPRINT_PREFIX}{fingerprint}")
+        expected = execute_job(_job(), graph_loader=loader).table
+        cold = execute_job(job, store=store, jobs=2)
+        warm = execute_job(job, store=store, jobs=2)
+        assert cold.perf["cache_misses"] == job.cell_groups()
+        assert warm.perf["cache_hits"] == job.cell_groups()
+        for result in (cold, warm):
+            assert [c.value for c in result.table] == [c.value for c in expected]
+
     def test_fingerprint_reference_needs_a_store(self):
         job = _job(graph=f"{FINGERPRINT_PREFIX}{'a' * 64}")
         with pytest.raises(ValueError, match="needs a store"):
