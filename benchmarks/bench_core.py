@@ -12,10 +12,12 @@ paper experiments end to end):
   the original graph's triangles exactly once;
 - **chains** — multi-stage ``|`` pipelines whose per-stage cost is now
   O(m), across graph sizes;
-- **algorithms** — the two grid hot spots on weighted RMAT graphs: the
-  Kruskal reference against the vectorized Borůvka MST, and the wedge-join
+- **algorithms** — the grid hot spots on weighted RMAT graphs: the
+  Kruskal reference against the vectorized Borůvka MST, the wedge-join
   triangle count against the row-blocked sparse ``(L @ L) ∘ L`` count,
-  with outputs asserted equal.
+  and the heap-Dijkstra LDD (:func:`repro.verify.oracles.oracle_ldd`)
+  against the numpy frontier rounds the spanner runs, with outputs
+  asserted equal.
 
 Emits ``BENCH_core.json`` through the shared perf-record machinery
 (:func:`repro.runner.harness.write_perf_record`), so the record carries
@@ -47,12 +49,14 @@ from repro.algorithms.triangles import (
     _sparse_triangle_count,
 )
 from repro.analytics.session import Session
+from repro.compress.mappings import beta_for_spanner, low_diameter_decomposition
 from repro.compress.registry import build_scheme
 from repro.graphs import generators as gen
 from repro.graphs.analysis import analysis_cache, stats_delta
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weights import with_uniform_weights
 from repro.runner.harness import write_perf_record
+from repro.verify.oracles import oracle_ldd
 
 #: Edge counts exercised by the transform/chain sections.
 FULL_SIZES = (100_000, 1_000_000)
@@ -204,7 +208,7 @@ def _rmat_graph(m: int, seed: int = 0) -> CSRGraph:
 
 
 def bench_algorithms(sizes, repeats: int) -> list[dict]:
-    """MST and triangle count: reference engine vs. vectorized engine."""
+    """MST, triangle count and LDD: reference vs. vectorized engine."""
     rows = []
     for m in sizes:
         g = _rmat_graph(m)
@@ -219,6 +223,14 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
 
         triangles = join_count()
         assert _sparse_triangle_count(g) == triangles
+        beta = beta_for_spanner(g, 4)
+        heap_ldd = oracle_ldd(g, beta, seed=0)
+        round_ldd = low_diameter_decomposition(g, beta, seed=0)
+        for field in ("mapping", "centers", "parent_edge_ids"):
+            assert np.array_equal(
+                getattr(heap_ldd, field), getattr(round_ldd, field)
+            ), field
+        assert heap_ldd.num_clusters == round_ldd.num_clusters
         row = {
             "n": g.n,
             "m": g.num_edges,
@@ -229,16 +241,26 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
             "tc_sparse_seconds": _best_of(
                 lambda: _sparse_triangle_count(g), repeats
             ),
+            "ldd_clusters": round_ldd.num_clusters,
+            "ldd_heap_seconds": _best_of(
+                lambda: oracle_ldd(g, beta, seed=0), repeats
+            ),
+            "ldd_rounds_seconds": _best_of(
+                lambda: low_diameter_decomposition(g, beta, seed=0), repeats
+            ),
         }
         row["mst_speedup"] = row["mst_kruskal_seconds"] / row["mst_boruvka_seconds"]
         row["tc_speedup"] = row["tc_join_seconds"] / row["tc_sparse_seconds"]
+        row["ldd_speedup"] = row["ldd_heap_seconds"] / row["ldd_rounds_seconds"]
         rows.append(row)
         print(
             f"algorithms m={g.num_edges:>9,}: "
             f"mst kruskal {row['mst_kruskal_seconds'] * 1e3:8.2f} ms   "
             f"boruvka {row['mst_boruvka_seconds'] * 1e3:8.2f} ms   "
             f"tc join {row['tc_join_seconds'] * 1e3:8.2f} ms   "
-            f"sparse {row['tc_sparse_seconds'] * 1e3:8.2f} ms"
+            f"sparse {row['tc_sparse_seconds'] * 1e3:8.2f} ms   "
+            f"ldd heap {row['ldd_heap_seconds'] * 1e3:8.2f} ms   "
+            f"rounds {row['ldd_rounds_seconds'] * 1e3:8.2f} ms"
         )
     return rows
 

@@ -8,11 +8,11 @@ The evolving-graph tour of :mod:`repro.stream`:
    line-oriented stream format, and read them back — the on-disk replay
    loop a subscription service would run,
 3. advance a :class:`GraphStream` generation by generation while two
-   incremental maintainers (the §4.5.3 spanner and EO triangle
-   reduction) repair their compressed outputs in the delta-touched
-   neighborhood instead of recompressing,
-4. cross-check one maintainer against a from-scratch batch recompress of
-   the final head, and print the fingerprint-linked generation ledger.
+   maintainers keep compressed outputs in step: the §4.5.3 spanner is
+   recompressed per generation (its LDD runs as numpy frontier rounds),
+   EO triangle reduction is repaired in the delta-touched neighborhood,
+4. cross-check both against a from-scratch batch recompress of the
+   final head, and print the fingerprint-linked generation ledger.
 
 Run:  python examples/stream_replay.py
 """
@@ -82,18 +82,26 @@ def main() -> None:
             f"(+{delta.num_inserts} -{delta.num_deletes})   " + "   ".join(cells)
         )
 
-    # Every generation was repaired, never rebuilt ...
+    # The spanner recompressed every generation, so it *is* the batch
+    # spanner of the final head; EO-TR was only ever repaired.
+    spanner = maintainers["spanner(k=4)"]
+    batch = build_scheme("spanner(k=4)").compress(stream.head, seed=0).graph
+    assert np.array_equal(spanner.compressed.edge_src, batch.edge_src)
+    assert np.array_equal(spanner.compressed.edge_dst, batch.edge_dst)
+    tr_stats = maintainers["EO-0.8-1-TR"].stats
+    assert tr_stats == {"repairs": BATCHES, "full_rebuilds": 0}, tr_stats
+    print()
     for spec, m in maintainers.items():
         stats = m.stats
-        assert stats["full_rebuilds"] == 0, (spec, stats)
-        print(f"\n{spec}: {stats['repairs']} repairs, {stats['full_rebuilds']} rebuilds")
+        print(f"{spec}: {stats['repairs']} repairs, {stats['full_rebuilds']} rebuilds")
 
-    # ... and the maintained EO-TR output matches a from-scratch batch
-    # recompress of the final head (same seed, same RNG discipline is not
-    # promised across histories — compare the contract-level shape).
+    # The repaired EO-TR output is contract-equal, not bit-equal, to a
+    # from-scratch recompress (the lottery history differs): compare the
+    # shapes.
     full = build_scheme("EO-0.8-1-TR").compress(stream.head, seed=0).graph
     kept = maintainers["EO-0.8-1-TR"].compressed
     print(
+        f"spanner(k=4) on final head: maintained = batch ({batch.num_edges} edges)\n"
         f"EO-0.8-1-TR on final head: incremental kept {kept.num_edges} edges, "
         f"batch recompress kept {full.num_edges}"
     )

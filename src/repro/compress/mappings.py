@@ -4,8 +4,9 @@ Subgraph compression schemes first decompose the graph into disjoint
 clusters; the paper singles out two mappings:
 
 - :func:`low_diameter_decomposition` — Miller–Peng–Xu exponential-shift
-  decomposition (O(n + m) work): every vertex draws a shift δ_v ~ Exp(β)
-  and joins the cluster of the center u minimizing dist(u, v) − δ_u.
+  decomposition, run as numpy frontier rounds: every vertex draws a
+  shift δ_v ~ Exp(β) and joins the cluster of the center u minimizing
+  dist(u, v) − δ_u.
   Cluster (strong) diameter is O(log n / β) w.h.p. and only a β fraction of
   edges cross clusters in expectation.  Used for spanners: β = ln(n)/k
   gives the O(k)-spanner of §4.5.3.
@@ -19,7 +20,6 @@ Both return an ``int64`` array of cluster ids, compacted to ``0..C-1``.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -59,23 +59,41 @@ def low_diameter_decomposition(
 ) -> LDDResult:
     """Exponential-shift LDD (Miller, Peng, Xu [111]).
 
-    Implemented as one Dijkstra pass from a virtual super-source where
-    every vertex v is seeded at start time ``δ_max − δ_v``: the first
-    settled "wave" to reach a vertex claims it, which realizes
-    argmin_u (dist(u, v) − δ_u) without n BFS runs.
+    Every vertex v starts a wave at time ``δ_max − δ_v``; the first wave
+    to reach a vertex claims it, which realizes argmin_u (dist(u, v) −
+    δ_u) without n BFS runs.  The waves advance in the parallel rounds of
+    Miller–Peng–Xu, one numpy pass each.  With ``t`` the smallest pending
+    distance, a pending candidate ``(d, v, center, edge)`` is final once
+    ``d < t + slack[v]``, where ``slack[v]`` is the lightest arc into v
+    (1 when unweighted, +inf with no in-arcs): every later candidate for
+    v is at least ``t + slack[v]``.  The lexicographically smallest
+    pending tuple always settles, and each target keeps its minimum
+    ``(d, center, edge)``, so the clusters and trees are bit-identical
+    to one heap Dijkstra from a virtual source
+    (:func:`repro.verify.oracles.oracle_ldd`).  A non-positive weight
+    sets every slack to -inf, which settles one tuple per round.
 
     ``weighted=True`` grows the waves along edge *weights* instead of hop
     counts; the per-cluster trees then become weighted shortest-path
     trees, which is what lets spanners preserve weighted SSSP lengths
     (§7.2's "spanners best preserve lengths of shortest paths").  The
     shift scale is multiplied by the mean edge weight so β keeps its
-    hop-space meaning.
+    hop-space meaning; non-finite weights raise ``ValueError``.
     """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     rng = as_generator(seed)
     n = g.n
     use_weights = weighted and g.is_weighted
+    if use_weights:
+        bad = np.flatnonzero(~np.isfinite(g.edge_weights))
+        if len(bad):
+            e = int(bad[0])
+            raise ValueError(
+                f"weighted LDD needs finite edge weights; {len(bad)} are "
+                f"not, e.g. edge {e} ({int(g.edge_src[e])}, "
+                f"{int(g.edge_dst[e])}) has weight {g.edge_weights[e]}"
+            )
     scale = (
         float(g.edge_weights.mean()) if use_weights and g.num_edges else 1.0
     )
@@ -83,25 +101,48 @@ def low_diameter_decomposition(
     start = shifts.max() - shifts if n else shifts
     mapping = np.full(n, -1, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, np.inf)
-    heap: list[tuple[float, int, int, int]] = []
-    for v in range(n):
-        heapq.heappush(heap, (float(start[v]), v, v, -1))
-    while heap:
-        d, v, center, via_edge = heapq.heappop(heap)
-        if mapping[v] != -1:
-            continue
-        mapping[v] = center
-        parent_edge[v] = via_edge
-        dist[v] = d
-        row = g.neighbors(v)
-        eids = g.incident_edge_ids(v)
-        if use_weights:
-            wts = g.edge_weights[eids]
-        for i, (u, e) in enumerate(zip(row, eids)):
-            if mapping[u] == -1:
-                step = float(wts[i]) if use_weights else 1.0
-                heapq.heappush(heap, (d + step, int(u), center, int(e)))
+    dist = np.zeros(n)
+    arc_w = g.edge_weights[g.arc_edge_ids] if use_weights else None
+    if not use_weights:
+        slack = np.where(g.in_degrees > 0, 1.0, np.inf)
+    elif len(arc_w) and arc_w.min() <= 0:
+        slack = np.full(n, -np.inf)
+    else:
+        slack = np.full(n, np.inf)
+        np.minimum.at(slack, g.indices, arc_w)
+    # Pending candidates (distance, target, center, edge): the self-starts.
+    pd = start.astype(np.float64)
+    pv = np.arange(n, dtype=np.int64)
+    pc = pv.copy()
+    pe = np.full(n, -1, dtype=np.int64)
+    while len(pd):
+        t = pd.min()
+        final = pd < t + slack[pv]
+        at_t = np.flatnonzero(pd == t)
+        final[at_t[np.lexsort((pe[at_t], pc[at_t], pv[at_t]))[0]]] = True
+        f = np.flatnonzero(final)
+        f = f[np.lexsort((pe[f], pc[f], pd[f], pv[f]))]
+        first = np.ones(len(f), dtype=bool)
+        first[1:] = pv[f[1:]] != pv[f[:-1]]
+        win = f[first]
+        v = pv[win]
+        mapping[v] = pc[win]
+        parent_edge[v] = pe[win]
+        dist[v] = pd[win]
+        live = mapping[pv] == -1
+        # Expand the settled vertices into unclaimed ones.
+        lo = g.indptr[v]
+        cnt = g.indptr[v + 1] - lo
+        arcs = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+        src = np.repeat(v, cnt)
+        u = g.indices[arcs]
+        open_ = mapping[u] == -1
+        arcs, src, u = arcs[open_], src[open_], u[open_]
+        step = arc_w[arcs] if use_weights else 1.0
+        pd = np.concatenate([pd[live], dist[src] + step])
+        pv = np.concatenate([pv[live], u])
+        pc = np.concatenate([pc[live], mapping[src]])
+        pe = np.concatenate([pe[live], g.arc_edge_ids[arcs]])
     # Centers are vertices whose own wave claimed them.
     centers_mask = mapping == np.arange(n)
     parent_edge[centers_mask] = -1

@@ -7,12 +7,14 @@ Two formats:
   (KONECT headers use ``%``), blank lines, and CRLF endings tolerated;
 - compressed ``.npz`` (NumPy) for fast round-trips of generated datasets.
 
-Malformed rows fail with the offender named (``file:line: ...`` plus the
-row's text), never with a bare ``int()`` traceback — real dumps are messy
-and the error must say *which* line to fix.  The line-level tolerance and
-row parsing live in :func:`iter_edge_rows` / :func:`parse_edge_row` so the
-streaming delta reader (:mod:`repro.stream.delta`) ingests the same
-dialect.
+Malformed rows and header fields fail with the offender named
+(``file:line: ...`` plus the row's text and the bad field), never with a
+bare ``int()`` or ``OverflowError`` traceback — real dumps are messy and
+the error must say *which* line to fix.  Endpoints must fit in int64 and
+weights must be finite.  The line-level tolerance, row parsing and
+``key=<int>`` header tokens live in :func:`iter_edge_rows` /
+:func:`parse_edge_row` / :func:`parse_int_token` so the streaming delta
+reader (:mod:`repro.stream.delta`) ingests the same dialect.
 
 Storage accounting (:func:`storage_bytes`) backs the paper's storage-
 reduction numbers: lossy compression reduces stored bytes proportionally to
@@ -21,7 +23,7 @@ removed edges because edges dominate any adjacency-array representation.
 
 from __future__ import annotations
 
-import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,10 @@ __all__ = [
     "storage_bytes",
     "iter_edge_rows",
     "parse_edge_row",
+    "parse_int_token",
 ]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def iter_edge_rows(lines, *, source="<edges>"):
@@ -58,40 +63,59 @@ def parse_edge_row(
 ) -> tuple[int, int, float | None]:
     """Parse one ``u v [w]`` row into ``(u, v, weight-or-None)``.
 
-    Raises ``ValueError`` naming the offending location and row text for
-    anything that is not two integer endpoints plus an optional float
-    weight.
+    Raises ``ValueError`` naming the offending location, row text and
+    field for anything that is not two int64 endpoints ``>= 0`` plus an
+    optional finite float weight.
     """
     parts = line.split()
     where = f"{source}:{lineno}"
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"{where}: malformed edge row {line!r} ({why})")
+
     if len(parts) < 2:
-        raise ValueError(
-            f"{where}: malformed edge row {line!r} "
-            "(expected 'u v' or 'u v w')"
-        )
+        raise bad("expected 'u v' or 'u v w'")
     if len(parts) > 3:
-        raise ValueError(
-            f"{where}: malformed edge row {line!r} "
-            f"({len(parts)} fields; expected 2 or 3)"
-        )
-    try:
-        u = int(parts[0])
-        v = int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"{where}: malformed edge row {line!r} "
-            "(endpoints must be integers)"
-        ) from None
+        raise bad(f"{len(parts)} fields; expected 2 or 3")
+    ends = []
+    for field, text in zip("uv", parts):
+        try:
+            value = int(text)
+        except ValueError:
+            raise bad(f"endpoints must be integers; {field}={text!r}") from None
+        if not 0 <= value <= _INT64_MAX:
+            raise bad(f"endpoint {field}={text} outside [0, 2^63)")
+        ends.append(value)
     w = None
     if len(parts) == 3:
         try:
             w = float(parts[2])
         except ValueError:
-            raise ValueError(
-                f"{where}: malformed edge row {line!r} "
-                "(weight must be a number)"
-            ) from None
-    return u, v, w
+            raise bad(f"weight must be a number; w={parts[2]!r}") from None
+        if not math.isfinite(w):
+            raise bad(f"weight must be finite; w={parts[2]!r}")
+    return ends[0], ends[1], w
+
+
+def parse_int_token(
+    token: str, *, where: str, context: str, high: int = _INT64_MAX
+) -> int:
+    """The value of one ``key=<int>`` token, which must lie in ``[0, high]``.
+
+    Raises ``ValueError`` naming ``where`` (``file:line``), the
+    ``context`` (which row or header) and the key.
+    """
+    key, _, text = token.partition("=")
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= high:
+        raise ValueError(
+            f"{where}: {context} ({key}= must be an integer in "
+            f"[0, {high}], got {text!r})"
+        )
+    return value
 
 
 def write_text(g: CSRGraph, path) -> None:
@@ -121,12 +145,19 @@ def read_text(path, *, num_vertices: int | None = None, directed: bool = False) 
             if not line or line.startswith("%"):
                 continue
             if line.startswith("#"):
-                if "n=" in line:
-                    for tok in line.split():
-                        if tok.startswith("n="):
-                            header_n = int(tok[2:])
-                        elif tok.startswith("directed="):
-                            header_directed = bool(int(tok[9:]))
+                where = f"{path}:{lineno}"
+                context = f"malformed header {line!r}"
+                for tok in line.split():
+                    if tok.startswith("n="):
+                        header_n = parse_int_token(
+                            tok, where=where, context=context
+                        )
+                    elif tok.startswith("directed="):
+                        header_directed = bool(
+                            parse_int_token(
+                                tok, where=where, context=context, high=1
+                            )
+                        )
                 continue
             u, v, weight = parse_edge_row(line, lineno=lineno, source=str(path))
             src.append(u)

@@ -9,19 +9,18 @@ The subsystem has three tiers:
 - :mod:`repro.stream.ingest` — :class:`GraphStream`, which applies delta
   batches through the sort-free CSR fast paths to produce immutable
   generations plus a fingerprint-linked ledger;
-- :mod:`repro.stream.incremental` — maintainers that repair compressed
-  outputs (spanner, EO triangle reduction, low-degree removal) in the
-  delta-touched neighborhood instead of recompressing from scratch.
+- :mod:`repro.stream.incremental` — maintainers that keep a compressed
+  output per generation: EO triangle reduction is repaired in the
+  delta-touched neighborhood, every other scheme is recompressed.
 
 ``python -m repro.stream replay <stream-file>`` drives all three.
 """
 
 from repro.stream.delta import EdgeDelta, read_stream, write_stream
 from repro.stream.incremental import (
-    IncrementalLowDegree,
     IncrementalMaintainer,
-    IncrementalSpanner,
     IncrementalTriangleReduction,
+    Recompress,
     maintainer_for,
 )
 from repro.stream.ingest import GenerationRecord, GraphStream, apply_delta
@@ -34,8 +33,7 @@ __all__ = [
     "GraphStream",
     "apply_delta",
     "IncrementalMaintainer",
-    "IncrementalSpanner",
     "IncrementalTriangleReduction",
-    "IncrementalLowDegree",
+    "Recompress",
     "maintainer_for",
 ]

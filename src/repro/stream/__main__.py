@@ -5,8 +5,8 @@ Two subcommands:
 ``replay <stream-file>``
     Read a text stream file (:func:`repro.stream.delta.read_stream`),
     apply every batch through a :class:`~repro.stream.ingest.
-    GraphStream`, and — with ``--maintain`` — keep incremental
-    compressed outputs synchronized per generation.  Prints one line per
+    GraphStream`, and — with ``--maintain`` — keep compressed outputs
+    synchronized per generation.  Prints one line per
     generation; ``--out`` writes a JSON replay record (the generation
     ledger plus maintainer stats).
 
@@ -162,7 +162,7 @@ def _cmd_replay(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(record, indent=2) + "\n")
+        out.write_text(json.dumps(record, indent=2, default=str) + "\n")
         print(f"wrote replay record to {out}")
     return 0
 
@@ -181,8 +181,8 @@ def main(argv=None) -> int:
         action="append",
         default=[],
         metavar="SPEC",
-        help="scheme spec to maintain incrementally (repeatable), "
-        "e.g. 'spanner(k=4)' or 'EO-0.8-1-TR'",
+        help="scheme spec to keep compressed per generation (repeatable), "
+        "e.g. 'spanner(k=4)' (recompressed) or 'EO-0.8-1-TR' (repaired)",
     )
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument(

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graphs.edgelist import iter_edge_rows, parse_edge_row
+from repro.graphs.edgelist import iter_edge_rows, parse_edge_row, parse_int_token
 
 __all__ = ["EdgeDelta", "read_stream", "write_stream"]
 
@@ -345,6 +345,10 @@ class EdgeDelta:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EdgeDelta":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"edge delta must be a JSON object, got {type(data).__name__}"
+            )
         version = data.get("schema_version", DELTA_SCHEMA_VERSION)
         if version != DELTA_SCHEMA_VERSION:
             raise ValueError(
@@ -447,7 +451,14 @@ def read_stream(path, *, directed: bool | None = None) -> list[EdgeDelta]:
             if line.startswith("#") and "directed=" in line:
                 for tok in line.split():
                     if tok.startswith("directed="):
-                        header_directed = bool(int(tok[9:]))
+                        header_directed = bool(
+                            parse_int_token(
+                                tok,
+                                where=f"{path}:{lineno}",
+                                context=f"malformed header {line!r}",
+                                high=1,
+                            )
+                        )
             raw_rows.append(raw)
     if directed is None:
         directed = bool(header_directed) if header_directed is not None else False
@@ -484,13 +495,11 @@ def read_stream(path, *, directed: bool | None = None) -> list[EdgeDelta]:
         if tokens[0] == "commit":
             for tok in tokens[1:]:
                 if tok.startswith("n="):
-                    try:
-                        num_vertices = int(tok[2:])
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{lineno}: malformed commit row {line!r} "
-                            "(n= must be an integer)"
-                        ) from None
+                    num_vertices = parse_int_token(
+                        tok,
+                        where=f"{path}:{lineno}",
+                        context=f"malformed commit row {line!r}",
+                    )
                 else:
                     raise ValueError(
                         f"{path}:{lineno}: malformed commit row {line!r} "

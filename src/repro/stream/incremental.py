@@ -1,33 +1,11 @@
-"""Incremental recompression: repair compressed outputs under deltas.
+"""Incremental recompression: keep compressed outputs in step with deltas.
 
-A batch scheme recomputes its whole output for every new generation; at
-streaming rates that wastes the work the delta did not touch.  Each
-:class:`IncrementalMaintainer` here keeps just enough state about *why*
-its compressed output looks the way it does to repair only the
-delta-affected neighborhood, and guarantees the repaired output satisfies
-the **same** :mod:`repro.theory.bounds` contracts the batch scheme
-declares (checked by :func:`repro.verify.properties.
-incremental_equivalence`):
+A maintainer follows a :class:`~repro.stream.ingest.GraphStream`: it is
+attached to a base generation, then advanced once per applied delta, and
+its output must satisfy the **same** :mod:`repro.theory.bounds`
+contracts the batch scheme declares (checked by
+:func:`repro.verify.properties.incremental_equivalence`):
 
-- :class:`IncrementalSpanner` — state is the LDD clustering, the
-  per-cluster SSSP-tree edges, and the kept crossing edge per cluster
-  pair.  Only a delete that removes a *tree* edge changes anything the
-  output depends on (an intra-cluster non-tree edge or a non-chosen
-  crossing edge is invisible to it); such a delete **splits** its
-  cluster along the tree cut — each surviving tree component still
-  spans its vertex set with diameter no larger than before, so the
-  components simply become clusters of their own, with no LDD run at
-  all during repair.  New vertices become singleton clusters, crossing
-  entries whose cluster pair was renamed by a split are re-keyed (the
-  kept edge is unchanged), and crossing choices are re-picked only for
-  pairs that lost their chosen edge or involve a split-off cluster.  A
-  surviving tree still spans its cluster in the new generation, so
-  connectivity — the deterministic ``spanner_components`` contract — is
-  preserved exactly as in the batch construction, and the unchanged
-  tree diameters keep the stretch argument intact.  The compressed
-  output itself is advanced by the same pair-level diff, never rebuilt.
-  The win is large because batch LDD is a Python-heap Dijkstra over
-  all n.
 - :class:`IncrementalTriangleReduction` (EO p-1-TR) — state is the set
   of *considered* edge pairs (each edge gets one removal lottery,
   §4.3's edge-once rule), the TR-deleted pairs, and for each deleted
@@ -40,12 +18,15 @@ incremental_equivalence`):
   containing an inserted edge (sorted-neighbor intersection) and run
   the same lottery on them.  The win is skipping the O(m^{3/2}) full
   triangle listing.
-- :class:`IncrementalLowDegree` — the deterministic arm: degrees are
-  maintained in O(Δ), and the output is **bit-identical** to the batch
-  ``low_degree`` compress of the new generation, which gives the
-  metamorphic invariant an exact-equality case.
+- :class:`Recompress` — every other scheme: each generation is
+  compressed from scratch with the maintainer's seed, so the output is
+  bit-identical to the batch scheme's.  A repairing maintainer earns its
+  code only by beating this by ``MIN_INCREMENTAL_SPEEDUP`` in
+  ``benchmarks/bench_stream.py``.  The spanner (whose LDD runs as numpy
+  frontier rounds) recompresses a 1e5-edge graph in about 50 ms and
+  low-degree removal is one degree pass, so neither has a repair.
 
-Past a churn threshold (default 25% of edges touched per batch) every
+Past a churn threshold (default 25% of edges touched per batch) the TR
 maintainer falls back to a full recompress — repair state degrades
 gracefully into the batch path it specializes.
 """
@@ -56,16 +37,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.algorithms.triangles import edge_ids_of_pairs
 from repro.compress.base import CompressionResult
-from repro.compress.mappings import (
-    beta_for_spanner,
-    low_diameter_decomposition,
-)
 from repro.compress.registry import build_scheme
-from repro.compress.spanner import Spanner
 from repro.compress.triangle_reduction import TriangleReduction
-from repro.compress.vertex_filters import LowDegreeVertexRemoval
 from repro.graphs.csr import CSRGraph
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
@@ -75,9 +49,8 @@ from repro.utils.timer import stopwatch
 
 __all__ = [
     "IncrementalMaintainer",
-    "IncrementalSpanner",
     "IncrementalTriangleReduction",
-    "IncrementalLowDegree",
+    "Recompress",
     "maintainer_for",
 ]
 
@@ -103,58 +76,6 @@ def _present_edge_ids(g: CSRGraph, u, v) -> tuple[np.ndarray, np.ndarray]:
     pos = np.searchsorted(keys, want)
     found = (pos < m) & (keys[np.minimum(pos, m - 1)] == want)
     return pos, found
-
-
-def _require_edge_ids(g: CSRGraph, u, v) -> np.ndarray:
-    """Like :func:`repro.algorithms.triangles.edge_ids_of_pairs`, but
-    sort-free (no cached argsort index to build per generation)."""
-    ids, found = _present_edge_ids(g, u, v)
-    if not found.all():
-        bad = int(np.flatnonzero(~found)[0])
-        raise KeyError(f"pair ({u[bad]}, {v[bad]}) is not an edge")
-    return ids
-
-
-def _edit_subgraph(
-    comp: CSRGraph,
-    g: CSRGraph,
-    removed: set,
-    added: set,
-    delta: EdgeDelta,
-) -> CSRGraph:
-    """Advance a maintained edge-subgraph output by pair-level diffs.
-
-    ``removed``/``added`` are canonical endpoint pairs leaving/entering
-    the output; a pair present in both stays untouched.  The output's
-    vertex set tracks the generation's, inserted pairs take their
-    weights from ``g``, and weight updates of surviving output edges are
-    replayed — so the result is exactly the subgraph of ``g`` the
-    maintainer's state describes, in O(m_out + Δ) instead of a from-
-    scratch resolve of every kept pair.
-    """
-    removed_f = removed - added
-    added_f = added - removed
-    if removed_f:
-        us = [p[0] for p in removed_f]
-        vs = [p[1] for p in removed_f]
-        comp = comp.delete_edges(_require_edge_ids(comp, us, vs))
-    if added_f or g.n > comp.n:
-        pairs = sorted(added_f)
-        us = [p[0] for p in pairs]
-        vs = [p[1] for p in pairs]
-        w = None
-        if g.is_weighted and pairs:
-            w = g.edge_weights[_require_edge_ids(g, us, vs)]
-        comp = comp.insert_edges(us, vs, w, num_vertices=g.n)
-    if g.is_weighted and delta.num_updates:
-        ids, found = _present_edge_ids(
-            comp, delta.update_src, delta.update_dst
-        )
-        if found.any():
-            w = comp.edge_weights.copy()
-            w[ids[found]] = delta.update_weights[found]
-            comp = comp.with_weights(w)
-    return comp
 
 
 class IncrementalMaintainer:
@@ -197,8 +118,8 @@ class IncrementalMaintainer:
         pass
 
     def _needs_rebuild(self, g: CSRGraph) -> bool:
-        """Quality ratchet: subclasses may force a full recompress when
-        accumulated repair state has drifted too far from a fresh one."""
+        """True forces a full recompress of the next generation,
+        whatever the churn."""
         return False
 
     # -- lifecycle ----------------------------------------------------- #
@@ -260,229 +181,6 @@ class IncrementalMaintainer:
             params=self.params(),
             extras={"incremental": True, **self.stats},
         )
-
-
-# --------------------------------------------------------------------- #
-# spanner
-# --------------------------------------------------------------------- #
-
-
-class IncrementalSpanner(IncrementalMaintainer):
-    """Maintain the §4.5.3 O(k)-spanner by tree-cut cluster splitting."""
-
-    scheme_name = "spanner"
-
-    def __init__(self, k: float = 4, *, seed=0, churn_threshold: float = 0.25):
-        super().__init__(seed=seed, churn_threshold=churn_threshold)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._mapping: np.ndarray | None = None  # vertex -> cluster id
-        self._next_cluster = 0
-        self._tree: dict[int, set] = {}  # cluster -> {(u, v) tree pairs}
-        self._tree_pairs: dict[tuple, int] = {}  # (u, v) -> its cluster
-        self._crossing: dict[tuple, tuple] = {}  # (c_lo, c_hi) -> (u, v)
-        self._crossing_baseline = 1  # pair count right after a full rebuild
-
-    def params(self) -> dict:
-        return {"k": self.k, "weighted": False}
-
-    def _check_graph(self, g: CSRGraph) -> None:
-        if g.directed:
-            raise ValueError(
-                "incremental spanner maintenance requires an undirected graph"
-            )
-
-    def _needs_rebuild(self, g: CSRGraph) -> bool:
-        # Tree-cut splitting can only fragment the clustering, and every
-        # extra cluster pair keeps an extra crossing edge.  Recompress
-        # once the pair count has drifted to 2x the post-rebuild
-        # baseline so output quality stays within a constant factor of
-        # the batch construction.
-        return len(self._crossing) > 2 * self._crossing_baseline + 32
-
-    # -- state construction -------------------------------------------- #
-
-    def _select_crossing(
-        self,
-        g: CSRGraph,
-        edge_ids: np.ndarray,
-        *,
-        overwrite: bool = True,
-        added: set | None = None,
-    ) -> None:
-        """Keep the min-edge-id crossing edge per unordered cluster pair
-        among ``edge_ids`` (the batch scheme's deterministic choice).
-        With ``overwrite=False`` cluster pairs that already hold a chosen
-        edge are left alone — repairs only fill the gaps they created —
-        and new choices are reported through ``added``."""
-        if not len(edge_ids):
-            return
-        cs = self._mapping[g.edge_src[edge_ids]]
-        cd = self._mapping[g.edge_dst[edge_ids]]
-        lo = np.minimum(cs, cd)
-        hi = np.maximum(cs, cd)
-        key = lo * np.int64(self._next_cluster + 1) + hi
-        order = np.lexsort((edge_ids, key))
-        _, first = np.unique(key[order], return_index=True)
-        for i in order[first]:
-            k = (int(lo[i]), int(hi[i]))
-            if not overwrite and k in self._crossing:
-                continue
-            e = int(edge_ids[i])
-            pair = (int(g.edge_src[e]), int(g.edge_dst[e]))
-            self._crossing[k] = pair
-            if added is not None:
-                added.add(pair)
-
-    def _rebuild(self, g: CSRGraph) -> None:
-        rng = as_generator(self.seed)
-        ldd = low_diameter_decomposition(g, beta_for_spanner(g, self.k), seed=rng)
-        self._mapping = ldd.mapping.astype(np.int64, copy=True)
-        self._next_cluster = ldd.num_clusters
-        self._tree = {}
-        self._tree_pairs = {}
-        self._crossing = {}
-        for v in np.flatnonzero(ldd.parent_edge_ids >= 0):
-            e = ldd.parent_edge_ids[v]
-            c = int(self._mapping[v])
-            pair = (int(g.edge_src[e]), int(g.edge_dst[e]))
-            self._tree.setdefault(c, set()).add(pair)
-            self._tree_pairs[pair] = c
-        cs = self._mapping[g.edge_src]
-        cd = self._mapping[g.edge_dst]
-        self._select_crossing(g, np.flatnonzero(cs != cd))
-        self._crossing_baseline = max(len(self._crossing), 1)
-        self._compressed = self._build_output(g)
-
-    def _repair(self, old: CSRGraph, delta: EdgeDelta, g: CSRGraph) -> None:
-        n_old, n_new = old.n, g.n
-        removed: set = set()
-        added: set = set()
-        fresh_floor = self._next_cluster
-        if n_new > n_old:
-            # New vertices become singleton clusters; they only connect
-            # through inserted edges, which the crossing scan picks up.
-            grown = np.arange(n_new - n_old, dtype=np.int64) + fresh_floor
-            self._mapping = np.concatenate([self._mapping, grown])
-            self._next_cluster += n_new - n_old
-        mapping = self._mapping
-        # 1. Classify deletes.  A lost tree edge cuts its cluster's
-        #    spanning tree; a lost *chosen* crossing edge marks its
-        #    cluster pair for a re-pick; any other delete never reached
-        #    the output.
-        cut: dict[int, list] = {}  # cluster -> its deleted tree pairs
-        repick: set = set()
-        for u, v in zip(delta.delete_src.tolist(), delta.delete_dst.tolist()):
-            p = (u, v)
-            c = self._tree_pairs.get(p)
-            if c is not None:
-                cut.setdefault(c, []).append(p)
-                continue
-            a, b = int(mapping[u]), int(mapping[v])
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                if self._crossing.get(key) == p:
-                    del self._crossing[key]
-                    removed.add(p)
-                    repick.update(key)
-        # 2. Split each cut cluster along its lost tree edges.  The
-        #    remaining tree components each still span their vertex set
-        #    (with diameter no larger than before), so the largest keeps
-        #    the cluster id and every other becomes a fresh cluster —
-        #    their tree edges stay in the output verbatim; only the cut
-        #    pairs leave it.  No LDD runs during repair.
-        for c, gone in cut.items():
-            rest = self._tree.get(c) or set()
-            for p in gone:
-                rest.discard(p)
-                del self._tree_pairs[p]
-                removed.add(p)
-            adj: dict = defaultdict(list)
-            nodes = {v for p in gone for v in p}
-            for a, b in rest:
-                adj[a].append(b)
-                adj[b].append(a)
-                nodes.add(a)
-                nodes.add(b)
-            comps = []
-            seen: set = set()
-            for s in nodes:
-                if s in seen:
-                    continue
-                comp = [s]
-                seen.add(s)
-                stack = [s]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            comp.append(y)
-                            stack.append(y)
-                comps.append(comp)
-            comps.sort(key=len, reverse=True)
-            comp_of: dict = {}
-            for comp in comps[1:]:  # the largest keeps the id c
-                cid = self._next_cluster
-                self._next_cluster += 1
-                mapping[comp] = cid
-                self._tree[cid] = set()
-                for v in comp:
-                    comp_of[v] = cid
-            for p in [p for p in rest if p[0] in comp_of]:
-                cid = comp_of[p[0]]
-                rest.discard(p)
-                self._tree[cid].add(p)
-                self._tree_pairs[p] = cid
-        # 2b. A split renames the cluster of every vertex it moved, so
-        #     crossing entries adjacent to a cut cluster may now be
-        #     filed under a stale pair: re-key them (the kept edge and
-        #     the output are unchanged).
-        if cut:
-            moves = []
-            for key, (x, y) in self._crossing.items():
-                if key[0] in cut or key[1] in cut:
-                    a, b = int(mapping[x]), int(mapping[y])
-                    nk = (a, b) if a < b else (b, a)
-                    if nk != key:
-                        moves.append((key, nk))
-            for key, nk in moves:
-                self._crossing[nk] = self._crossing.pop(key)
-        # 3. Crossing choices are needed only where the clustering
-        #    changed (any edge into a fresh cluster), where a chosen
-        #    edge was deleted, or where an edge was inserted.  Existing
-        #    choices elsewhere stay — _select_crossing fills gaps only.
-        cs = mapping[g.edge_src]
-        cd = mapping[g.edge_dst]
-        cand = (cs >= fresh_floor) | (cd >= fresh_floor)
-        if repick:
-            repick_arr = np.fromiter(repick, dtype=np.int64)
-            cand |= np.isin(cs, repick_arr) | np.isin(cd, repick_arr)
-        if delta.num_inserts:
-            cand[_require_edge_ids(g, delta.insert_src, delta.insert_dst)] = True
-        cand &= cs != cd
-        self._select_crossing(
-            g, np.flatnonzero(cand), overwrite=False, added=added
-        )
-        self._compressed = _edit_subgraph(
-            self._compressed, g, removed, added, delta
-        )
-
-    def _build_output(self, g: CSRGraph) -> CSRGraph:
-        us: list[int] = []
-        vs: list[int] = []
-        for pairs in self._tree.values():
-            for u, v in pairs:
-                us.append(u)
-                vs.append(v)
-        for u, v in self._crossing.values():
-            us.append(u)
-            vs.append(v)
-        keep = np.zeros(g.num_edges, dtype=bool)
-        if us:
-            keep[edge_ids_of_pairs(g, us, vs)] = True
-        return g.keep_edges(keep)
 
 
 # --------------------------------------------------------------------- #
@@ -647,113 +345,47 @@ class IncrementalTriangleReduction(IncrementalMaintainer):
 
 
 # --------------------------------------------------------------------- #
-# low-degree removal (the deterministic, exact-equality arm)
+# everything else: recompress per generation
 # --------------------------------------------------------------------- #
 
 
-class IncrementalLowDegree(IncrementalMaintainer):
-    """Maintain ``low_degree(max_degree=d, rounds=1)`` bit-identically.
+class Recompress(IncrementalMaintainer):
+    """Maintain any scheme by compressing every generation from scratch."""
 
-    Degrees are updated in O(Δ) per batch; the output is byte-for-byte
-    the batch scheme's output on the same generation, which is the
-    exact-equality case of the metamorphic invariant.
-    """
-
-    scheme_name = "low_degree"
     deterministic = True
 
-    def __init__(
-        self, *, max_degree: int = 1, seed=0, churn_threshold: float = 0.25
-    ):
+    def __init__(self, scheme, *, seed=0, churn_threshold: float = 0.25):
         super().__init__(seed=seed, churn_threshold=churn_threshold)
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.max_degree = int(max_degree)
-        self._degrees: np.ndarray | None = None
+        self.scheme = scheme
+        self.scheme_name = scheme.name
 
     def params(self) -> dict:
-        return {"max_degree": self.max_degree, "rounds": 1, "relabel": False}
+        return self.scheme.params()
+
+    def _needs_rebuild(self, g: CSRGraph) -> bool:
+        return True
 
     def _rebuild(self, g: CSRGraph) -> None:
-        self._degrees = g.degrees.astype(np.int64, copy=True)
-        self._compressed = self._build_output(g)
-
-    def _repair(self, old: CSRGraph, delta: EdgeDelta, g: CSRGraph) -> None:
-        deg = self._degrees
-        if g.n > old.n:
-            deg = np.concatenate([deg, np.zeros(g.n - old.n, dtype=np.int64)])
-        if delta.num_deletes:
-            # degrees is out-degree for directed graphs: only src moves
-            gone = (
-                delta.delete_src
-                if g.directed
-                else np.concatenate([delta.delete_src, delta.delete_dst])
-            )
-            np.subtract.at(deg, gone, 1)
-        if delta.num_inserts:
-            added = (
-                delta.insert_src
-                if g.directed
-                else np.concatenate([delta.insert_src, delta.insert_dst])
-            )
-            np.add.at(deg, added, 1)
-        self._degrees = deg
-        self._compressed = self._build_output(g)
-
-    def _build_output(self, g: CSRGraph) -> CSRGraph:
-        deg = self._degrees
-        victims = np.flatnonzero((deg > 0) & (deg <= self.max_degree))
-        if not len(victims):  # batch compress returns the input unchanged
-            return g
-        return g.remove_vertices(victims)
-
-
-# --------------------------------------------------------------------- #
-# scheme-spec plumbing
-# --------------------------------------------------------------------- #
+        self._compressed = self.scheme.compress(g, seed=self.seed).graph
 
 
 def maintainer_for(
     spec, *, seed=0, churn_threshold: float = 0.25
 ) -> IncrementalMaintainer:
-    """An incremental maintainer matching a batch scheme spec.
+    """The maintainer for a batch scheme spec.
 
     ``spec`` is anything :func:`repro.compress.registry.build_scheme`
     accepts (``"spanner(k=4)"``, ``"EO-0.8-1-TR"``, ``"low_degree"``, or
-    a scheme instance).  Raises ``ValueError`` for schemes (or variants)
-    without an incremental maintainer.
+    a scheme instance).  EO x=1 triangle reduction gets its repairing
+    maintainer; every other scheme recompresses per generation.
     """
     scheme = build_scheme(spec) if isinstance(spec, str) else spec
-    if isinstance(scheme, Spanner):
-        if scheme.weighted:
-            raise ValueError(
-                "incremental spanner maintenance supports weighted=False only"
-            )
-        return IncrementalSpanner(
-            k=scheme.k, seed=seed, churn_threshold=churn_threshold
-        )
-    if isinstance(scheme, TriangleReduction):
-        if scheme.variant != "edge_once" or scheme.x != 1:
-            raise ValueError(
-                "incremental triangle reduction supports the edge_once "
-                f"x=1 variant only, got variant={scheme.variant!r} "
-                f"x={scheme.x}"
-            )
+    if (
+        isinstance(scheme, TriangleReduction)
+        and scheme.variant == "edge_once"
+        and scheme.x == 1
+    ):
         return IncrementalTriangleReduction(
             p=scheme.p, seed=seed, churn_threshold=churn_threshold
         )
-    if isinstance(scheme, LowDegreeVertexRemoval):
-        if scheme.relabel or scheme.rounds != 1:
-            raise ValueError(
-                "incremental low-degree removal supports rounds=1 "
-                "relabel=False only"
-            )
-        return IncrementalLowDegree(
-            max_degree=scheme.max_degree,
-            seed=seed,
-            churn_threshold=churn_threshold,
-        )
-    raise ValueError(
-        f"no incremental maintainer for scheme {scheme.name!r}; "
-        "supported: spanner, triangle_reduction (edge_once), low_degree"
-    )
+    return Recompress(scheme, seed=seed, churn_threshold=churn_threshold)

@@ -23,6 +23,7 @@ agreement), mirroring :func:`repro.algorithms.bfs.validate_bfs_tree`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -32,7 +33,9 @@ import numpy as np
 from repro.algorithms.bfs import bfs, validate_bfs_tree
 from repro.algorithms.components import connected_components
 from repro.algorithms.registry import build_algorithm
+from repro.compress.mappings import LDDResult
 from repro.graphs.csr import CSRGraph
+from repro.utils.rng import as_generator
 
 __all__ = [
     "OracleEntry",
@@ -49,6 +52,7 @@ __all__ = [
     "oracle_mst_weight",
     "oracle_core_numbers",
     "oracle_degree_counts",
+    "oracle_ldd",
 ]
 
 
@@ -289,6 +293,60 @@ def oracle_degree_counts(g: CSRGraph) -> dict[int, int]:
         d = len(adj[v])
         counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def oracle_ldd(
+    g: CSRGraph, beta: float, *, seed=None, weighted: bool = False
+) -> LDDResult:
+    """Exponential-shift LDD as one heap Dijkstra from a virtual source.
+
+    The reference for :func:`repro.compress.mappings.
+    low_diameter_decomposition`: same shift draw, and the heap's
+    ``(d, v, center, edge)`` tuple order is the tie order the frontier
+    rounds must reproduce bit for bit.  One push and pop per arc.
+    """
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    rng = as_generator(seed)
+    n = g.n
+    use_weights = weighted and g.is_weighted
+    scale = (
+        float(g.edge_weights.mean()) if use_weights and g.num_edges else 1.0
+    )
+    shifts = rng.exponential(scale / beta, size=n)
+    start = shifts.max() - shifts if n else shifts
+    mapping = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
+    heap: list[tuple[float, int, int, int]] = []
+    for v in range(n):
+        heapq.heappush(heap, (float(start[v]), v, v, -1))
+    while heap:
+        d, v, center, via_edge = heapq.heappop(heap)
+        if mapping[v] != -1:
+            continue
+        mapping[v] = center
+        parent_edge[v] = via_edge
+        dist[v] = d
+        row = g.neighbors(v)
+        eids = g.incident_edge_ids(v)
+        if use_weights:
+            wts = g.edge_weights[eids]
+        for i, (u, e) in enumerate(zip(row, eids)):
+            if mapping[u] == -1:
+                step = float(wts[i]) if use_weights else 1.0
+                heapq.heappush(heap, (d + step, int(u), center, int(e)))
+    # Centers are vertices whose own wave claimed them.
+    centers_mask = mapping == np.arange(n)
+    parent_edge[centers_mask] = -1
+    # Compact cluster ids.
+    uniq, compact = np.unique(mapping, return_inverse=True)
+    return LDDResult(
+        mapping=compact.astype(np.int64),
+        centers=uniq,
+        parent_edge_ids=parent_edge,
+        num_clusters=len(uniq),
+    )
 
 
 # --------------------------------------------------------------------- #

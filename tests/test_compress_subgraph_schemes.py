@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.bfs import bfs
 from repro.algorithms.components import connected_components
 from repro.compress.mappings import (
+    beta_for_spanner,
     jaccard_minhash_clustering,
     jaccard_similarity,
     low_diameter_decomposition,
@@ -14,6 +15,8 @@ from repro.compress.spanner import Spanner
 from repro.compress.summarization import GraphSummary, LossySummarization
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
+from repro.verify.fuzz import FAMILIES, FuzzCase, build_graph
+from repro.verify.oracles import oracle_ldd
 
 
 class TestLDD:
@@ -54,6 +57,75 @@ class TestLDD:
     def test_beta_validation(self, plc300):
         with pytest.raises(ValueError):
             low_diameter_decomposition(plc300, beta=0.0)
+
+
+def _ldd_weights(m: int, kind: str, rng) -> np.ndarray:
+    w = rng.uniform(1.0, 10.0, m)
+    if kind == "unit":
+        return np.ones(m)
+    if kind == "exponential":
+        return rng.exponential(1.0, m)
+    if kind == "zero":
+        w[rng.random(m) < 0.3] = 0.0
+    elif kind == "negative":
+        w[rng.random(m) < 0.2] *= -0.1
+    return w
+
+
+def assert_same_ldd(got, ref):
+    assert np.array_equal(got.mapping, ref.mapping)
+    assert np.array_equal(got.centers, ref.centers)
+    assert np.array_equal(got.parent_edge_ids, ref.parent_edge_ids)
+    assert got.num_clusters == ref.num_clusters
+
+
+class TestLDDMatchesHeapOracle:
+    """The frontier rounds are bit-identical to the heap Dijkstra."""
+
+    @pytest.mark.parametrize(
+        "weights", [None, "unit", "uniform", "exponential", "zero", "negative"]
+    )
+    @pytest.mark.parametrize("directed", [False, True], ids=["und", "dir"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fuzz_families(self, family, directed, weights):
+        for seed in (0, 1):
+            g = build_graph(FuzzCase(family, directed, False, seed))
+            if weights is not None:
+                rng = np.random.default_rng(seed)
+                g = g.with_weights(_ldd_weights(g.num_edges, weights, rng))
+            for k in (2, 4, 8, 32):
+                beta = beta_for_spanner(g, k)
+                for weighted in {False, weights is not None}:
+                    assert_same_ldd(
+                        low_diameter_decomposition(
+                            g, beta, seed=seed, weighted=weighted
+                        ),
+                        oracle_ldd(g, beta, seed=seed, weighted=weighted),
+                    )
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless_graphs(self, n):
+        g = CSRGraph.from_edges(n, [], [])
+        got = low_diameter_decomposition(g, 1.0, seed=3)
+        assert_same_ldd(got, oracle_ldd(g, 1.0, seed=3))
+        assert got.num_clusters == n
+        assert (got.parent_edge_ids == -1).all()
+
+    def test_isolated_vertices(self):
+        g = CSRGraph.from_edges(12, [0, 1, 2, 6], [1, 2, 3, 7])
+        for seed in range(5):
+            assert_same_ldd(
+                low_diameter_decomposition(g, 0.5, seed=seed),
+                oracle_ldd(g, 0.5, seed=seed),
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        g = gen.path_graph(4).with_weights(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match=r"finite.*edge 1 \(1, 2\)"):
+            low_diameter_decomposition(g, 1.0, seed=0, weighted=True)
+        # Unweighted waves ignore the weights.
+        low_diameter_decomposition(g, 1.0, seed=0)
 
 
 class TestJaccardClustering:

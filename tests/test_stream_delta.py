@@ -10,6 +10,7 @@ trips are lossless.
 import numpy as np
 import pytest
 
+from repro.graphs.edgelist import read_text
 from repro.stream.delta import EdgeDelta, read_stream, write_stream
 
 
@@ -129,6 +130,10 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="unknown delta fields"):
             EdgeDelta.from_dict(data)
 
+    def test_dict_rejects_non_object(self):
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            EdgeDelta.from_dict([])
+
     def test_dict_rejects_future_schema(self):
         data = self.make().to_dict()
         data["schema_version"] = 999
@@ -222,3 +227,49 @@ class TestStreamFiles:
         ]
         with pytest.raises(ValueError, match="share the stream's directedness"):
             write_stream(deltas, tmp_path / "mixed.txt")
+
+
+#: (readers, file text, the error's expected line and field) for untrusted
+#: text that used to escape as a bare OverflowError / int() error or
+#: parse silently.
+BAD_TEXT = {
+    "endpoint_overflow": (
+        (read_text, read_stream),
+        "0 1\n0 99999999999999999999\n",
+        r":2: malformed edge row .*endpoint v=99999999999999999999",
+    ),
+    "header_n": ((read_text,), "# n=abc\n0 1\n", r":1: malformed header .*n="),
+    "header_directed": (
+        (read_text, read_stream),
+        "# directed=x\n0 1\n",
+        r":1: malformed header .*directed=",
+    ),
+    "header_directed_empty": (
+        (read_text, read_stream),
+        "# repro edge stream: directed=\n0 1\n",
+        r":1: malformed header .*directed=",
+    ),
+    "nan_weight": (
+        (read_text, read_stream),
+        "0 1 1.5\n1 2 nan\n",
+        r":2: malformed edge row .*weight must be finite; w='nan'",
+    ),
+    "inf_weight": (
+        (read_text, read_stream),
+        "0 1 inf\n",
+        r":1: malformed edge row .*weight must be finite; w='inf'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reader,case",
+    [(r, c) for c, (readers, _, _) in BAD_TEXT.items() for r in readers],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_untrusted_text_errors_name_file_line_and_field(reader, case, tmp_path):
+    _, text, pattern = BAD_TEXT[case]
+    path = tmp_path / f"{case}.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{case}.txt" + pattern):
+        reader(path)
