@@ -229,6 +229,11 @@ def vertex_alignment(result) -> np.ndarray | None:
     return current
 
 
+#: Cap on one batch of the clustering's in-group pair work: intersection
+#: matrix cells or generated incidence pairs, whichever is larger.
+_PAIR_BATCH = 1 << 18
+
+
 def jaccard_similarity(g: CSRGraph, u: int, v: int) -> float:
     """Jaccard similarity of the closed neighborhoods of u and v.
 
@@ -260,6 +265,10 @@ def jaccard_minhash_clustering(
        Jaccard similarity to the supervertex's seed is ≥ ``threshold``
        and the supervertex stays under ``max_cluster_size``.
 
+    The similarities of all in-group pairs come from one pass over the
+    closed-neighborhood incidences, so a group of L vertices costs
+    O(L²) memory; only the greedy walk over them runs in Python.
+
     Returns compact cluster ids; unmerged vertices are singleton clusters.
     """
     if not 0.0 <= threshold <= 1.0:
@@ -287,28 +296,94 @@ def jaccard_minhash_clustering(
         signature = signature * np.int64(n) + sig_parts[h]
     order = np.argsort(signature, kind="stable")
     sig_sorted = signature[order]
-    boundaries = np.flatnonzero(np.diff(sig_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    for s, e in zip(starts, ends):
-        group = order[s:e]
-        if len(group) < 2:
-            continue
-        seeds: list[int] = []
-        sizes: dict[int, int] = {}
-        for v in group:
-            v = int(v)
-            joined = False
-            for sd in seeds:
-                if sizes[sd] >= max_cluster_size:
-                    continue
-                if jaccard_similarity(g, sd, v) >= threshold:
-                    cluster[v] = sd
-                    sizes[sd] += 1
-                    joined = True
-                    break
-            if not joined:
-                seeds.append(v)
-                sizes[v] = 1
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = sig_sorted[1:] != sig_sorted[:-1]
+    run_id = np.cumsum(run_start) - 1
+    grouped = np.bincount(run_id)[run_id] >= 2
+    # Candidate groups: runs of ≥ 2 equal signatures, members ascending.
+    members = order[grouped]
+    if not len(members):
+        return cluster
+    gid = np.cumsum(run_start[grouped]) - 1
+    group_size = np.bincount(gid)
+    group_start = np.cumsum(group_size) - group_size
+    pos = np.arange(len(members)) - group_start[gid]
+    gid_of = np.full(n, -1, dtype=np.int64)
+    gid_of[members] = gid
+    pos_of = np.zeros(n, dtype=np.int64)
+    pos_of[members] = pos
+    # Closed neighborhoods as (vertex, neighbor) incidences: drop
+    # self-loops and repeated arcs, then add the vertex itself.
+    arc = g.indices != heads
+    arc[1:] &= (g.indices[1:] != g.indices[:-1]) | (heads[1:] != heads[:-1])
+    closed_deg = np.bincount(heads[arc], minlength=n) + 1
+    arc &= gid_of[heads] >= 0
+    inc_vertex = np.concatenate([heads[arc], members])
+    inc_nbr = np.concatenate([g.indices[arc], members])
+    inc_gid = gid_of[inc_vertex]
+    inc_pos = pos_of[inc_vertex]
+    # Runs of equal (group, neighbor), members in walk order: every pair
+    # inside a run shares that neighbor, and no pair crosses groups.
+    srt = np.lexsort((inc_pos, inc_nbr, inc_gid))
+    inc_gid, inc_nbr, inc_pos = inc_gid[srt], inc_nbr[srt], inc_pos[srt]
+    new_run = np.ones(len(srt), dtype=bool)
+    new_run[1:] = (inc_gid[1:] != inc_gid[:-1]) | (inc_nbr[1:] != inc_nbr[:-1])
+    inc_run = np.cumsum(new_run) - 1
+    run_len = np.bincount(inc_run)
+    run_first = np.flatnonzero(new_run)
+    later = run_len[inc_run] - (np.arange(len(srt)) - run_first[inc_run]) - 1
+    # Groups are processed in contiguous batches whose intersection
+    # matrices (one L×L block per group) and pair lists stay bounded.
+    cells = group_size * group_size
+    pairs = np.bincount(inc_gid, weights=later, minlength=len(group_size))
+    cost = np.maximum(cells, pairs.astype(np.int64))
+    batch = (np.cumsum(cost) - cost) // _PAIR_BATCH
+    batch_edges = np.flatnonzero(np.diff(batch)) + 1
+    group_lo = np.concatenate([[0], batch_edges])
+    group_hi = np.concatenate([batch_edges, [len(group_size)]])
+    inc_lo = np.searchsorted(inc_gid, group_lo)
+    inc_hi = np.searchsorted(inc_gid, group_hi)
+    member_list = members.tolist()
+    deg = closed_deg[members]
+    joined: list[int] = []
+    joined_to: list[int] = []
+    for g0, g1, e0, e1 in zip(group_lo, group_hi, inc_lo, inc_hi):
+        cell_off = np.cumsum(cells[g0:g1]) - cells[g0:g1]
+        # Intersections |N[a] ∩ N[b]| for a before b, by pairing each
+        # incidence with the later ones of its run.
+        cnt = later[e0:e1].astype(np.int64)
+        first = np.repeat(np.arange(e0, e1), cnt)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        local_g = inc_gid[first] - g0
+        flat = cell_off[local_g] + inc_pos[first] * group_size[inc_gid[first]] + inc_pos[second]
+        inter = np.bincount(flat, minlength=int(cells[g0:g1].sum()))
+        cell_g = np.repeat(np.arange(g0, g1), cells[g0:g1])
+        local = np.arange(len(inter)) - cell_off[cell_g - g0]
+        row = group_start[cell_g] + local // group_size[cell_g]
+        col = group_start[cell_g] + local % group_size[cell_g]
+        union = deg[row] + deg[col] - inter
+        similar = (inter / union >= threshold).tolist()
+        # Greedy seed walk: a vertex joins the first seed, in seed order,
+        # that still has room and is similar enough.  Full seeds never
+        # reopen, so they leave the scan.
+        for grp, off in zip(range(g0, g1), cell_off.tolist()):
+            size = int(group_size[grp])
+            base = int(group_start[grp])
+            open_seeds: list[int] = []
+            sizes: dict[int, int] = {}
+            for j in range(size):
+                for sd in open_seeds:
+                    if similar[off + sd * size + j]:
+                        joined.append(member_list[base + j])
+                        joined_to.append(member_list[base + sd])
+                        sizes[sd] += 1
+                        if sizes[sd] >= max_cluster_size:
+                            open_seeds.remove(sd)
+                        break
+                else:
+                    sizes[j] = 1
+                    if 1 < max_cluster_size:
+                        open_seeds.append(j)
+    cluster[np.array(joined, dtype=np.int64)] = np.array(joined_to, dtype=np.int64)
     uniq, compact = np.unique(cluster, return_inverse=True)
     return compact.astype(np.int64)

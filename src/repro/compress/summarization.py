@@ -25,6 +25,7 @@ is the one scheme that can add edges and disconnect anything (§6.3).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,12 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability
 
 __all__ = ["LossySummarization", "GraphSummary", "DeriveSummaryKernel", "save_summary", "load_summary"]
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """A list of (u, v) tuples as a ``(k, 2)`` int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return flat.reshape(-1, 2)
 
 
 @dataclass
@@ -62,46 +69,45 @@ class GraphSummary:
         """
         return len(self.superedges) + len(self.corrections_plus) + len(self.corrections_minus)
 
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertices ordered by supervertex, plus each supervertex's
+        start offset and member count in that order."""
+        order = np.argsort(self.mapping, kind="stable")
+        counts = np.bincount(self.mapping, minlength=self.num_supervertices)
+        return order, np.cumsum(counts) - counts, counts
+
     def members(self) -> list[np.ndarray]:
         """Member vertex arrays per supervertex."""
-        order = np.argsort(self.mapping, kind="stable")
-        svs = self.mapping[order]
-        bounds = np.flatnonzero(np.diff(svs)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(order)]])
-        out = [np.empty(0, dtype=np.int64)] * self.num_supervertices
-        for s, e in zip(starts, ends):
-            out[int(svs[s])] = order[s:e]
-        return out
+        order, starts, counts = self._grouped()
+        return [order[s : s + c] for s, c in zip(starts.tolist(), counts.tolist())]
+
+    def _covered_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every member pair the superedges cover, superedge by superedge.
+
+        Superedge (A, B) covers the |A|×|B| grid of member pairs in
+        row-major order; a self-superedge covers the grid's strict upper
+        triangle.
+        """
+        order, starts, counts = self._grouped()
+        se = _pair_array(self.superedges)
+        a, b = se[:, 0], se[:, 1]
+        cols = counts[b]
+        cells = counts[a] * cols
+        blk = np.repeat(np.arange(len(se)), cells)
+        local = np.arange(int(cells.sum())) - np.repeat(np.cumsum(cells) - cells, cells)
+        i, j = np.divmod(local, cols[blk])
+        keep = (a[blk] != b[blk]) | (i < j)
+        return order[starts[a[blk]] + i][keep], order[starts[b[blk]] + j][keep]
 
     def decompress(self) -> CSRGraph:
         """Expand superedges, add C⁺, remove C⁻."""
-        members = self.members()
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        for a, b in self.superedges:
-            ma, mb = members[a], members[b]
-            if a == b:
-                if len(ma) >= 2:
-                    iu, iv = np.triu_indices(len(ma), k=1)
-                    src_parts.append(ma[iu])
-                    dst_parts.append(ma[iv])
-            else:
-                uu = np.repeat(ma, len(mb))
-                vv = np.tile(mb, len(ma))
-                src_parts.append(uu)
-                dst_parts.append(vv)
-        if self.corrections_plus:
-            cp = np.array(self.corrections_plus, dtype=np.int64)
-            src_parts.append(cp[:, 0])
-            dst_parts.append(cp[:, 1])
-        if not src_parts:
-            return CSRGraph.empty(self.num_vertices)
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        g = CSRGraph.from_edges(self.num_vertices, src, dst)
+        u, v = self._covered_pairs()
+        cp = _pair_array(self.corrections_plus)
+        g = CSRGraph.from_edges(
+            self.num_vertices, np.concatenate([u, cp[:, 0]]), np.concatenate([v, cp[:, 1]])
+        )
         if self.corrections_minus:
-            cm = np.array(self.corrections_minus, dtype=np.int64)
+            cm = _pair_array(self.corrections_minus)
             lo = np.minimum(cm[:, 0], cm[:, 1])
             hi = np.maximum(cm[:, 0], cm[:, 1])
             keys = g.edge_src * np.int64(self.num_vertices) + g.edge_dst
@@ -214,63 +220,58 @@ class LossySummarization(CompressionScheme):
             "num_hashes": self.num_hashes,
         }
 
-    # -- encoding (vectorized over supervertex pairs) ---------------------- #
+    # -- encoding (vectorized over supervertex-pair blocks) ---------------- #
 
     def _encode(self, g: CSRGraph, mapping: np.ndarray) -> GraphSummary:
         summary = GraphSummary(num_vertices=g.n, mapping=mapping)
-        sizes = np.bincount(mapping, minlength=int(mapping.max()) + 1 if len(mapping) else 0)
+        sizes = np.bincount(mapping, minlength=summary.num_supervertices)
         cs, cd = mapping[g.edge_src], mapping[g.edge_dst]
         lo = np.minimum(cs, cd)
         hi = np.maximum(cs, cd)
-        C = np.int64(len(sizes))
-        keys = lo * C + hi
+        keys = lo * np.int64(len(sizes)) + hi
+        # Blocks: the edges between one supervertex pair, in key order,
+        # each block's edges in edge-id order.
         order = np.argsort(keys, kind="stable")
-        members = summary.members()
-        boundaries = np.flatnonzero(np.diff(keys[order])) + 1
-        starts = np.concatenate([[0], boundaries]) if len(order) else []
-        ends = np.concatenate([boundaries, [len(order)]]) if len(order) else []
-        for s, e in zip(starts, ends):
-            eids = order[s:e]
-            a = int(lo[eids[0]])
-            b = int(hi[eids[0]])
-            if a == b:
-                possible = int(sizes[a]) * (int(sizes[a]) - 1) // 2
-            else:
-                possible = int(sizes[a]) * int(sizes[b])
-            present_count = len(eids)
-            if possible and present_count > (possible + 1) // 2 + 1:
-                summary.superedges.append((a, b))
-                present = set(
-                    zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
-                )
-                ma, mb = members[a], members[b]
-                if a == b:
-                    iu, iv = np.triu_indices(len(ma), k=1)
-                    cand_u, cand_v = ma[iu], ma[iv]
-                else:
-                    cand_u = np.repeat(ma, len(mb))
-                    cand_v = np.tile(mb, len(ma))
-                for u, v in zip(cand_u.tolist(), cand_v.tolist()):
-                    pair = (u, v) if u < v else (v, u)
-                    if pair not in present:
-                        summary.corrections_minus.append(pair)
-            else:
-                summary.corrections_plus.extend(
-                    zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
-                )
+        sorted_keys = keys[order]
+        new_block = np.ones(len(order), dtype=bool)
+        new_block[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        block_of = np.cumsum(new_block) - 1
+        a = lo[order[new_block]]
+        b = hi[order[new_block]]
+        present = np.bincount(block_of, minlength=len(a))
+        possible = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+        # MDL rule: a superedge pays off when the block is dense enough.
+        dense = (possible > 0) & (present > (possible + 1) // 2 + 1)
+        plus = order[~dense[block_of]]
+        summary.corrections_plus = list(
+            zip(g.edge_src[plus].tolist(), g.edge_dst[plus].tolist())
+        )
+        summary.superedges = list(zip(a[dense].tolist(), b[dense].tolist()))
+        # Corrections⁻: every covered member pair that is not an edge, in
+        # superedge-then-grid order.  A covered pair can only match an
+        # edge of its own block, so one membership test serves all blocks.
+        u, v = summary._covered_pairs()
+        pair_lo, pair_hi = np.minimum(u, v), np.maximum(u, v)
+        n = np.int64(g.n)
+        covered = order[dense[block_of]]
+        edge_keys = g.edge_src[covered] * n + g.edge_dst[covered]
+        missing = ~np.isin(pair_lo * n + pair_hi, edge_keys)
+        summary.corrections_minus = list(
+            zip(pair_lo[missing].tolist(), pair_hi[missing].tolist())
+        )
         return summary
 
     def _drop_corrections(self, g: CSRGraph, summary: GraphSummary, rng) -> GraphSummary:
         """Lossy step: drop corrections within per-vertex ε·d(v) budgets."""
         if self.epsilon == 0.0:
             return summary
-        budget = np.floor(self.epsilon * g.degrees).astype(np.int64)
+        budget = np.floor(self.epsilon * g.degrees).astype(np.int64).tolist()
+
         def filter_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
             if not pairs:
                 return pairs
             kept = []
-            order = rng.permutation(len(pairs))
-            for i in order:
+            for i in rng.permutation(len(pairs)).tolist():
                 u, v = pairs[i]
                 if budget[u] > 0 and budget[v] > 0:
                     budget[u] -= 1
@@ -374,32 +375,74 @@ def save_summary(summary: GraphSummary, path) -> None:
     """
     from pathlib import Path
 
-    def pairs(lst):
-        return (
-            np.array(lst, dtype=np.int64).reshape(-1, 2)
-            if lst
-            else np.empty((0, 2), dtype=np.int64)
-        )
-
     np.savez_compressed(
         Path(path),
         num_vertices=np.array([summary.num_vertices], dtype=np.int64),
         mapping=summary.mapping,
-        superedges=pairs(summary.superedges),
-        corrections_plus=pairs(summary.corrections_plus),
-        corrections_minus=pairs(summary.corrections_minus),
+        superedges=_pair_array(summary.superedges),
+        corrections_plus=_pair_array(summary.corrections_plus),
+        corrections_minus=_pair_array(summary.corrections_minus),
     )
 
 
 def load_summary(path) -> GraphSummary:
-    """Load a summary written by :func:`save_summary`."""
+    """Load a summary written by :func:`save_summary`.
+
+    The file is untrusted input: a missing array, a pair array not shaped
+    ``(k, 2)``, a ``mapping`` whose length is not ``num_vertices``, or a
+    negative or out-of-range vertex or supervertex id raises
+    ``ValueError`` naming the field.
+    """
     from pathlib import Path
 
     with np.load(Path(path)) as z:
-        return GraphSummary(
-            num_vertices=int(z["num_vertices"][0]),
-            mapping=z["mapping"],
-            superedges=[tuple(row) for row in z["superedges"].tolist()],
-            corrections_plus=[tuple(row) for row in z["corrections_plus"].tolist()],
-            corrections_minus=[tuple(row) for row in z["corrections_minus"].tolist()],
+        fields = {}
+        for name in _SUMMARY_FIELDS:
+            if name not in z.files:
+                raise ValueError(f"summary file has no {name!r} array")
+            fields[name] = z[name]
+    for name, arr in fields.items():
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    num_vertices = fields["num_vertices"]
+    if num_vertices.shape != (1,) or num_vertices[0] < 0:
+        raise ValueError("num_vertices must be one non-negative integer")
+    n = int(num_vertices[0])
+    mapping = fields["mapping"]
+    if mapping.shape != (n,):
+        raise ValueError(
+            f"mapping must have num_vertices={n} entries, got shape {mapping.shape}"
+        )
+    _check_ids("mapping", mapping, n, "supervertex")
+    num_supervertices = int(mapping.max()) + 1 if n else 0
+    pairs = {}
+    for name, bound, kind in (
+        ("superedges", num_supervertices, "supervertex"),
+        ("corrections_plus", n, "vertex"),
+        ("corrections_minus", n, "vertex"),
+    ):
+        arr = fields[name]
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"{name} must have shape (k, 2), got {arr.shape}")
+        _check_ids(name, arr, bound, kind)
+        pairs[name] = [tuple(row) for row in arr.tolist()]
+    return GraphSummary(
+        num_vertices=n, mapping=mapping.astype(np.int64, copy=False), **pairs
+    )
+
+
+_SUMMARY_FIELDS = (
+    "num_vertices",
+    "mapping",
+    "superedges",
+    "corrections_plus",
+    "corrections_minus",
+)
+
+
+def _check_ids(name: str, arr: np.ndarray, bound: int, kind: str) -> None:
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ValueError(
+            f"{name} holds {kind} ids outside [0, {bound}): "
+            f"min {arr.min()}, max {arr.max()}"
         )

@@ -345,7 +345,7 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             msgs = [f"raised {type(err).__name__}: {err}"]
         return [f"{label}: {m}" for m in msgs]
 
-    checks += 3
+    checks += 4
     failures.extend(
         guarded(
             "tr_connectivity",
@@ -362,6 +362,12 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
     mask = rng.random(g.num_edges) < 0.6
     failures.extend(
         guarded("fastpath_identity", lambda: properties.fastpath_identity(g, mask))
+    )
+    failures.extend(
+        guarded(
+            "summary_identity",
+            lambda: properties.summary_identity(g, seed=case.seed),
+        )
     )
 
     # Streaming metamorphic invariant: every delta family × every scheme

@@ -33,7 +33,8 @@ import numpy as np
 from repro.algorithms.bfs import bfs, validate_bfs_tree
 from repro.algorithms.components import connected_components
 from repro.algorithms.registry import build_algorithm
-from repro.compress.mappings import LDDResult
+from repro.compress.mappings import LDDResult, jaccard_similarity
+from repro.compress.summarization import GraphSummary
 from repro.graphs.csr import CSRGraph
 from repro.utils.rng import as_generator
 
@@ -53,6 +54,8 @@ __all__ = [
     "oracle_core_numbers",
     "oracle_degree_counts",
     "oracle_ldd",
+    "oracle_summary",
+    "oracle_decompress",
 ]
 
 
@@ -347,6 +350,196 @@ def oracle_ldd(
         parent_edge_ids=parent_edge,
         num_clusters=len(uniq),
     )
+
+
+def oracle_summary(
+    g: CSRGraph,
+    *,
+    epsilon: float,
+    threshold: float = 0.3,
+    max_cluster_size: int = 32,
+    num_hashes: int = 2,
+    seed=None,
+) -> GraphSummary:
+    """ε-summary by per-pair Jaccard calls and per-block set scans.
+
+    The reference for :meth:`repro.compress.summarization.
+    LossySummarization.summarize`: the same RNG draws in the same order
+    (minhash permutations, then one permutation per non-empty correction
+    list), so the engine's mapping, superedges and both correction lists
+    must match this one element for element.
+    """
+    rng = as_generator(seed)
+    mapping = _oracle_minhash_clustering(
+        g,
+        threshold=threshold,
+        max_cluster_size=max_cluster_size,
+        num_hashes=num_hashes,
+        rng=rng,
+    )
+    summary = _oracle_encode(g, mapping)
+    if epsilon == 0.0:
+        return summary
+    budget = np.floor(epsilon * g.degrees).astype(np.int64)
+
+    def filter_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        if not pairs:
+            return pairs
+        kept = []
+        order = rng.permutation(len(pairs))
+        for i in order:
+            u, v = pairs[i]
+            if budget[u] > 0 and budget[v] > 0:
+                budget[u] -= 1
+                budget[v] -= 1
+            else:
+                kept.append((u, v))
+        return kept
+
+    summary.corrections_minus = filter_pairs(summary.corrections_minus)
+    summary.corrections_plus = filter_pairs(summary.corrections_plus)
+    return summary
+
+
+def _oracle_minhash_clustering(
+    g: CSRGraph, *, threshold, max_cluster_size, num_hashes, rng
+) -> np.ndarray:
+    n = g.n
+    cluster = np.arange(n, dtype=np.int64)
+    if n == 0:
+        return cluster
+    perms = [rng.permutation(n) for _ in range(num_hashes)]
+    sig_parts = np.empty((num_hashes, n), dtype=np.int64)
+    heads = np.repeat(np.arange(n), np.diff(g.indptr))
+    for h, perm in enumerate(perms):
+        sig = perm.copy()
+        has_nbr = g.degrees > 0
+        sig[has_nbr] = np.iinfo(np.int64).max
+        np.minimum.at(sig, heads, perm[g.indices])
+        sig_parts[h] = sig
+    signature = sig_parts[0]
+    for h in range(1, num_hashes):
+        signature = signature * np.int64(n) + sig_parts[h]
+    order = np.argsort(signature, kind="stable")
+    sig_sorted = signature[order]
+    boundaries = np.flatnonzero(np.diff(sig_sorted)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [n]])
+    for s, e in zip(starts, ends):
+        group = order[s:e]
+        if len(group) < 2:
+            continue
+        seeds: list[int] = []
+        sizes: dict[int, int] = {}
+        for v in group:
+            v = int(v)
+            joined = False
+            for sd in seeds:
+                if sizes[sd] >= max_cluster_size:
+                    continue
+                if jaccard_similarity(g, sd, v) >= threshold:
+                    cluster[v] = sd
+                    sizes[sd] += 1
+                    joined = True
+                    break
+            if not joined:
+                seeds.append(v)
+                sizes[v] = 1
+    uniq, compact = np.unique(cluster, return_inverse=True)
+    return compact.astype(np.int64)
+
+
+def _oracle_members(mapping: np.ndarray) -> list[np.ndarray]:
+    order = np.argsort(mapping, kind="stable")
+    svs = mapping[order]
+    bounds = np.flatnonzero(np.diff(svs)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [len(order)]])
+    num_supervertices = int(mapping.max()) + 1 if len(mapping) else 0
+    out = [np.empty(0, dtype=np.int64)] * num_supervertices
+    for s, e in zip(starts, ends):
+        out[int(svs[s])] = order[s:e]
+    return out
+
+
+def _oracle_encode(g: CSRGraph, mapping: np.ndarray) -> GraphSummary:
+    summary = GraphSummary(num_vertices=g.n, mapping=mapping)
+    sizes = np.bincount(mapping, minlength=int(mapping.max()) + 1 if len(mapping) else 0)
+    cs, cd = mapping[g.edge_src], mapping[g.edge_dst]
+    lo = np.minimum(cs, cd)
+    hi = np.maximum(cs, cd)
+    C = np.int64(len(sizes))
+    keys = lo * C + hi
+    order = np.argsort(keys, kind="stable")
+    members = _oracle_members(mapping)
+    boundaries = np.flatnonzero(np.diff(keys[order])) + 1
+    starts = np.concatenate([[0], boundaries]) if len(order) else []
+    ends = np.concatenate([boundaries, [len(order)]]) if len(order) else []
+    for s, e in zip(starts, ends):
+        eids = order[s:e]
+        a = int(lo[eids[0]])
+        b = int(hi[eids[0]])
+        if a == b:
+            possible = int(sizes[a]) * (int(sizes[a]) - 1) // 2
+        else:
+            possible = int(sizes[a]) * int(sizes[b])
+        present_count = len(eids)
+        if possible and present_count > (possible + 1) // 2 + 1:
+            summary.superedges.append((a, b))
+            present = set(
+                zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
+            )
+            ma, mb = members[a], members[b]
+            if a == b:
+                iu, iv = np.triu_indices(len(ma), k=1)
+                cand_u, cand_v = ma[iu], ma[iv]
+            else:
+                cand_u = np.repeat(ma, len(mb))
+                cand_v = np.tile(mb, len(ma))
+            for u, v in zip(cand_u.tolist(), cand_v.tolist()):
+                pair = (u, v) if u < v else (v, u)
+                if pair not in present:
+                    summary.corrections_minus.append(pair)
+        else:
+            summary.corrections_plus.extend(
+                zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
+            )
+    return summary
+
+
+def oracle_decompress(summary: GraphSummary) -> CSRGraph:
+    """Expand a summary one superedge at a time: the reference for
+    :meth:`repro.compress.summarization.GraphSummary.decompress`."""
+    members = _oracle_members(summary.mapping)
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    for a, b in summary.superedges:
+        ma, mb = members[a], members[b]
+        if a == b:
+            if len(ma) >= 2:
+                iu, iv = np.triu_indices(len(ma), k=1)
+                src_parts.append(ma[iu])
+                dst_parts.append(ma[iv])
+        else:
+            src_parts.append(np.repeat(ma, len(mb)))
+            dst_parts.append(np.tile(mb, len(ma)))
+    if summary.corrections_plus:
+        cp = np.array(summary.corrections_plus, dtype=np.int64)
+        src_parts.append(cp[:, 0])
+        dst_parts.append(cp[:, 1])
+    if not src_parts:
+        return CSRGraph.empty(summary.num_vertices)
+    g = CSRGraph.from_edges(
+        summary.num_vertices, np.concatenate(src_parts), np.concatenate(dst_parts)
+    )
+    if summary.corrections_minus:
+        cm = np.array(summary.corrections_minus, dtype=np.int64)
+        lo = np.minimum(cm[:, 0], cm[:, 1])
+        hi = np.maximum(cm[:, 0], cm[:, 1])
+        keys = g.edge_src * np.int64(summary.num_vertices) + g.edge_dst
+        drop_keys = lo * np.int64(summary.num_vertices) + hi
+        g = g.keep_edges(~np.isin(keys, drop_keys))
+    return g
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,8 @@ hold between related runs": subgraph schemes return edge-subsets with
 consistent vertex alignment, EO-Triangle-Reduction preserves
 connectivity (§6.1), spanners bound distance stretch, chain lineages
 compose stage by stage, the sort-free transform fast paths are
-buffer-identical to the legacy rebuild, snapshot/store round trips are
+buffer-identical to the legacy rebuild, summarization matches its loop
+reference, snapshot/store round trips are
 fingerprint-stable, and parallel grids equal in-memory grids.
 
 Every check returns a list of human-readable violation strings (empty =
@@ -37,6 +38,7 @@ __all__ = [
     "tr_preserves_components",
     "spanner_invariants",
     "fastpath_identity",
+    "summary_identity",
     "incremental_equivalence",
     "snapshot_roundtrip",
     "store_roundtrip",
@@ -388,6 +390,39 @@ def fastpath_identity(g: CSRGraph, keep_mask: np.ndarray) -> list[str]:
         fast.validate()
     except AssertionError as err:
         out.append(f"fast-path graph fails validate(): {err}")
+    return out
+
+
+#: (epsilon, threshold, max_cluster_size) settings the fuzz matrix runs
+#: through :func:`summary_identity`: a lossless summary at the default
+#: clustering, and a lossy one whose small clusters fill up.
+_SUMMARY_SETTINGS = ((0.0, 0.3, 32), (0.4, 0.6, 4))
+
+
+def summary_identity(g: CSRGraph, *, seed=0) -> list[str]:
+    """ε-summarization must reproduce the loop reference exactly: the same
+    mapping, superedges and both correction lists in the same order, and
+    the same decompressed buffers."""
+    from repro.compress.summarization import LossySummarization
+    from repro.verify.oracles import oracle_decompress, oracle_summary
+
+    out: list[str] = []
+    for eps, threshold, size in _SUMMARY_SETTINGS:
+        ctx = f"(epsilon={eps}, threshold={threshold}, max_cluster_size={size})"
+        got = LossySummarization(
+            eps, threshold=threshold, max_cluster_size=size
+        ).summarize(g, seed=seed)
+        ref = oracle_summary(
+            g, epsilon=eps, threshold=threshold, max_cluster_size=size, seed=seed
+        )
+        if not np.array_equal(got.mapping, ref.mapping):
+            out.append(f"mapping differs from the reference {ctx}")
+        for name in ("superedges", "corrections_plus", "corrections_minus"):
+            if getattr(got, name) != getattr(ref, name):
+                out.append(f"{name} differ from the reference {ctx}")
+        out += _compare_buffers(
+            got.decompress(), oracle_decompress(ref), f"after decompress {ctx}"
+        )
     return out
 
 

@@ -16,7 +16,7 @@ from repro.compress.summarization import GraphSummary, LossySummarization
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.verify.fuzz import FAMILIES, FuzzCase, build_graph
-from repro.verify.oracles import oracle_ldd
+from repro.verify.oracles import oracle_decompress, oracle_ldd, oracle_summary
 
 
 class TestLDD:
@@ -241,11 +241,26 @@ class TestSummarization:
         diff_large = abs(large.graph.num_edges - plc300.num_edges)
         assert diff_large >= diff_small
 
-    def test_kernel_path_matches_fast_path_lossless(self, plc300):
+    @pytest.mark.parametrize(
+        "g",
+        [None, gen.complete_graph(12), gen.rmat(9, 8, seed=0)],
+        ids=["plc300", "complete12", "rmat9x8"],
+    )
+    def test_kernel_path_matches_fast_path_lossless(self, plc300, g):
+        g = plc300 if g is None else g
         scheme = LossySummarization(0.0)
-        a = scheme.compress(plc300, seed=4).graph
-        b = scheme.compress_via_kernels(plc300, seed=4).graph
-        assert a.num_edges == b.num_edges == plc300.num_edges
+        fast = scheme.summarize(g, seed=4)
+        res = scheme.compress_via_kernels(g, seed=4)
+        kern = res.extras["summary"]
+
+        def canonical(pairs):
+            return {(min(u, v), max(u, v)) for u, v in pairs}
+
+        assert np.array_equal(kern.mapping, fast.mapping)
+        assert set(kern.superedges) == set(fast.superedges)
+        assert canonical(kern.corrections_plus) == canonical(fast.corrections_plus)
+        assert canonical(kern.corrections_minus) == canonical(fast.corrections_minus)
+        assert res.graph.num_edges == g.num_edges
 
     def test_summary_decompress_dense_cluster(self):
         """A clique cluster should be encoded as one self-superedge."""
@@ -269,6 +284,95 @@ class TestSummarization:
         g = CSRGraph.from_edges(3, [0], [1], directed=True)
         with pytest.raises(ValueError):
             LossySummarization(0.1).compress(g)
+
+
+def assert_same_summary(got, ref):
+    assert got.num_vertices == ref.num_vertices
+    assert np.array_equal(got.mapping, ref.mapping)
+    assert got.superedges == ref.superedges
+    assert got.corrections_plus == ref.corrections_plus
+    assert got.corrections_minus == ref.corrections_minus
+    a, b = got.decompress(), oracle_decompress(ref)
+    for attr in ("indptr", "indices", "edge_src", "edge_dst", "arc_edge_ids"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+class TestSummarizationMatchesOracle:
+    """The numpy summary is the loop reference's, field for field and in
+    order, for every seed."""
+
+    @pytest.mark.parametrize("max_cluster_size", [4, 32])
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fuzz_families(self, family, epsilon, threshold, max_cluster_size):
+        kw = dict(threshold=threshold, max_cluster_size=max_cluster_size)
+        for seed in (0, 1, 2):
+            g = build_graph(FuzzCase(family, False, False, seed))
+            assert_same_summary(
+                LossySummarization(epsilon, **kw).summarize(g, seed=seed),
+                oracle_summary(g, epsilon=epsilon, seed=seed, **kw),
+            )
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batched_clustering(self, monkeypatch, batch):
+        """Groups split across many pair batches cluster the same way."""
+        import repro.compress.mappings as mappings
+
+        monkeypatch.setattr(mappings, "_PAIR_BATCH", batch)
+        for family in ("powerlaw_cluster", "degenerate"):
+            g = build_graph(FuzzCase(family, False, False, 1))
+            assert_same_summary(
+                LossySummarization(0.4).summarize(g, seed=3),
+                oracle_summary(g, epsilon=0.4, seed=3),
+            )
+
+    @pytest.mark.parametrize("num_hashes", [1, 3])
+    @pytest.mark.parametrize("max_cluster_size", [0, 1, 2])
+    def test_dense_and_degenerate_inputs(self, max_cluster_size, num_hashes):
+        kw = dict(max_cluster_size=max_cluster_size, num_hashes=num_hashes)
+        graphs = [
+            CSRGraph.from_edges(1, [], []),
+            CSRGraph.from_edges(12, [0, 1, 2, 6], [1, 2, 3, 7]),
+            gen.star_graph(40),
+            gen.complete_graph(12),
+        ]
+        for g in graphs:
+            for seed in range(3):
+                assert_same_summary(
+                    LossySummarization(1.0, **kw).summarize(g, seed=seed),
+                    oracle_summary(g, epsilon=1.0, seed=seed, **kw),
+                )
+
+    def test_empty_graph(self):
+        summary = LossySummarization(0.4).summarize(CSRGraph.from_edges(0, [], []))
+        assert summary.members() == []
+        assert summary.storage_edges() == 0
+        assert summary.decompress().n == 0
+
+    def test_no_scipy_import(self):
+        """The summarization path stays scipy-free: importing scipy.sparse
+        alone costs the grid-structural workload about 22 MB of RSS."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.compress.summarization import LossySummarization\n"
+            "from repro.graphs import generators as gen\n"
+            "LossySummarization(0.4).compress(gen.powerlaw_cluster(200, 4, 0.5, seed=1))\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestSummaryStorage:
@@ -307,6 +411,55 @@ class TestSummaryStorage:
         restored = load_summary(path).decompress()
         assert restored.num_edges == plc300.num_edges
         assert np.array_equal(restored.edge_src, plc300.edge_src)
+
+    GOOD = dict(
+        num_vertices=np.array([4]),
+        mapping=np.array([0, 0, 1, 2]),
+        superedges=np.array([[0, 1]]),
+        corrections_plus=np.array([[2, 3]]),
+        corrections_minus=np.array([[0, 2]]),
+    )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("superedges", None, "no 'superedges' array"),
+            ("mapping", None, "no 'mapping' array"),
+            ("superedges", np.array([0, 1]), r"superedges must have shape \(k, 2\)"),
+            ("corrections_plus", np.zeros((2, 3), dtype=np.int64), "corrections_plus must have shape"),
+            ("mapping", np.array([0, 0, 1]), "mapping must have num_vertices=4 entries"),
+            ("mapping", np.array([0, -1, 1, 2]), "mapping holds supervertex ids"),
+            ("mapping", np.array([0, 0, 1, 9]), "mapping holds supervertex ids"),
+            ("superedges", np.array([[0, 9]]), r"superedges holds supervertex ids outside \[0, 3\)"),
+            ("superedges", np.array([[-1, 0]]), "superedges holds supervertex ids"),
+            ("corrections_plus", np.array([[2, 4]]), r"corrections_plus holds vertex ids outside \[0, 4\)"),
+            ("corrections_minus", np.array([[-3, 1]]), "corrections_minus holds vertex ids"),
+            ("num_vertices", np.array([-1]), "num_vertices must be one non-negative"),
+            ("num_vertices", np.array([4, 4]), "num_vertices must be one non-negative"),
+            ("mapping", np.array([0.0, 0.0, 1.0, 2.0]), "mapping must hold integers"),
+        ],
+    )
+    def test_untrusted_file_rejected(self, tmp_path, field, value, message):
+        from repro.compress.summarization import load_summary
+
+        arrays = dict(self.GOOD)
+        if value is None:
+            del arrays[field]
+        else:
+            arrays[field] = value
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_summary(path)
+
+    def test_valid_hand_written_file_loads(self, tmp_path):
+        from repro.compress.summarization import load_summary
+
+        path = tmp_path / "good.npz"
+        np.savez(path, **self.GOOD)
+        g = load_summary(path).decompress()
+        # Superedge (0, 1) covers (0, 2) and (1, 2); C⁻ removes (0, 2).
+        assert list(zip(g.edge_src.tolist(), g.edge_dst.tolist())) == [(1, 2), (2, 3)]
 
 
 class TestApproxListingTR:

@@ -161,6 +161,24 @@ class TestPipelineInvariants:
         assert properties.fastpath_identity(g, mask) == []
 
 
+    def test_summary_identity(self, plc300):
+        assert properties.summary_identity(plc300, seed=2) == []
+
+    def test_summary_identity_catches_reordered_corrections(self, monkeypatch):
+        from repro.compress.summarization import LossySummarization
+
+        encode = LossySummarization._encode
+
+        def reordered(self, g, mapping):
+            summary = encode(self, g, mapping)
+            summary.corrections_plus.reverse()
+            return summary
+
+        monkeypatch.setattr(LossySummarization, "_encode", reordered)
+        msgs = properties.summary_identity(gen.powerlaw_cluster(60, 3, 0.5, seed=1))
+        assert any("corrections_plus differ" in m for m in msgs)
+
+
 class TestRoundTrips:
     def test_snapshot_roundtrip(self, plc300, tmp_path):
         assert properties.snapshot_roundtrip(plc300, tmp_path) == []
