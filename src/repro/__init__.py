@@ -43,7 +43,7 @@ registry (:func:`~repro.metrics.registry.register_metric`).
 a tidy, CSV/JSON round-trippable :class:`~repro.analytics.grid.SweepTable`.
 """
 
-from repro.graphs import CSRGraph, GraphBuilder, generators, datasets
+from repro.graphs import CSRGraph, generators, datasets
 from repro.compress import (
     Chain,
     CompressionResult,
@@ -113,7 +113,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CSRGraph",
-    "GraphBuilder",
     "generators",
     "datasets",
     "CompressionResult",

@@ -674,33 +674,6 @@ class Session:
                 )
         return built, runners, plans
 
-    def score_cells(
-        self, run: CompressedRun, algorithm, metrics: Sequence[str] | None = None
-    ) -> list[GridCell]:
-        """Score one algorithm on an existing compressed run as grid cells.
-
-        The unit of work behind :meth:`grid` — one compressed graph, one
-        algorithm (any :meth:`run` surface), one cell per metric
-        (``None`` = the adapter's §5 default).  Baselines come from the
-        session cache; the runner workers execute exactly this method, so
-        parallel/store-backed grids are cell-for-cell identical to
-        in-memory ones.
-        """
-        runner = self._as_runner(algorithm)
-        if metrics is None:
-            plan = [resolve_metric(runner.adapter.default_metric)]
-        else:
-            plan = [resolve_metric(m) for m in metrics]
-            for entry in plan:
-                if runner.adapter.name not in entry.adapters:
-                    raise ValueError(
-                        f"metric {entry.name!r} does not apply to "
-                        f"{runner.label!r} ({runner.adapter.name} output); "
-                        f"compatible: "
-                        f"{', '.join(compatible_names(runner.adapter.name))}"
-                    )
-        return self._score_cells(run, runner, plan, seed=run.seed)
-
     def _score_cells(
         self, run: CompressedRun, runner: _Runner, plan, *, seed=None
     ) -> list[GridCell]:

@@ -1,8 +1,7 @@
-"""Graph substrate: CSR core, builders, generators, datasets, and I/O."""
+"""Graph substrate: CSR core, generators, datasets, and I/O."""
 
 from repro.graphs.analysis import AnalysisCache, analysis_cache, cached_analysis
 from repro.graphs.csr import CSRGraph
-from repro.graphs.builder import GraphBuilder
 from repro.graphs import generators
 from repro.graphs import datasets
 from repro.graphs.views import induced_subgraph, edge_subgraph, cluster_subgraphs
@@ -22,7 +21,6 @@ __all__ = [
     "load_snapshot",
     "save_snapshot",
     "CSRGraph",
-    "GraphBuilder",
     "generators",
     "datasets",
     "induced_subgraph",

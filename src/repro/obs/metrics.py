@@ -2,7 +2,7 @@
 
 Before this module, every subsystem kept its own counters under its own
 names — ``StoreStats`` dataclass fields, ``AnalysisCache`` hit/miss
-dicts, the service queue's ``Timer`` latency labels, maintainer
+dicts, the service queue's per-label latency samples, maintainer
 ``stats`` dicts — and the ``/metrics`` JSON, the dashboard, and the
 BENCH records each spelled them differently (``analysis_hits`` vs
 ``hits``).  The registry gives them one home and one naming scheme::

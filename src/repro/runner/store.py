@@ -28,9 +28,8 @@ Durability discipline:
   written under a different version are treated as misses, so upgrading
   the cell format safely invalidates stale caches in place.
 
-Payloads are JSON (`cells` + perf counters); bulky numeric artifacts ride
-in an optional ``.npz`` sidecar keyed by the same digest.  Graph
-snapshots (:mod:`repro.graphs.snapshot`) live under ``graphs/`` keyed by
+Payloads are JSON (`cells` + perf counters).  Graph snapshots
+(:mod:`repro.graphs.snapshot`) live under ``graphs/`` keyed by
 fingerprint, in the exploded layout pooled grid workers memory-map — the
 input graph is never re-parsed from edge lists.
 """
@@ -40,11 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro.algorithms.spec import AlgorithmSpec
 from repro.compress.spec import SchemeSpec
@@ -194,7 +190,6 @@ class ArtifactStore:
     Layout under ``root`` (created on first write)::
 
         cells/<d0d1>/<digest>.json   one record per cell group
-        arrays/<d0d1>/<digest>.npz   optional numeric sidecars
         graphs/<fingerprint>.snap/   exploded CSR snapshots (header.json
                                      plus one .npy per array); a
                                      graphs/<fingerprint>.npz written by
@@ -257,10 +252,6 @@ class ArtifactStore:
         d = key.digest
         return self.root / "cells" / d[:2] / f"{d}.json"
 
-    def _array_path(self, key: CellKey) -> Path:
-        d = key.digest
-        return self.root / "arrays" / d[:2] / f"{d}.npz"
-
     # -- cell records ------------------------------------------------------- #
 
     def get_cells(self, key: CellKey) -> dict | None:
@@ -300,13 +291,8 @@ class ArtifactStore:
         self.stats.add(hits=1)
         return record["payload"]
 
-    def put_cells(self, key: CellKey, payload: dict, arrays=None) -> None:
-        """Store ``payload`` (JSON-safe) under ``key``, atomically.
-
-        ``arrays`` (a ``{name: ndarray}`` mapping) lands in the ``.npz``
-        sidecar, written *before* the record so a reader that sees the
-        record always finds its arrays.
-        """
+    def put_cells(self, key: CellKey, payload: dict) -> None:
+        """Store ``payload`` (JSON-safe) under ``key``, atomically."""
         from repro.faults.plan import fault_point
 
         fault_point("store.put_cells", digest=key.digest[:12])
@@ -315,25 +301,11 @@ class ArtifactStore:
             "key": key.to_dict(),
             "payload": payload,
         }
-        if arrays:
-            atomic_write(
-                self._array_path(key),
-                lambda fh: np.savez(fh, **{k: np.asarray(v) for k, v in arrays.items()}),
-            )
         atomic_write(
             self._record_path(key),
             lambda fh: fh.write(json.dumps(record, sort_keys=True).encode()),
         )
         self.stats.add(writes=1)
-
-    def load_arrays(self, key: CellKey) -> dict | None:
-        """The ``.npz`` sidecar of ``key`` as ``{name: ndarray}``, or None."""
-        path = self._array_path(key)
-        try:
-            with np.load(path) as data:
-                return {name: data[name] for name in data.files}
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-            return None
 
     def __contains__(self, key: CellKey) -> bool:
         return self._record_path(key).exists()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -59,11 +60,36 @@ FINGERPRINT_PREFIX = "fingerprint:"
 DEFAULT_ALGORITHMS = ("bfs", "pr", "cc", "tc")
 
 
-def _as_strings(values: Iterable, what: str) -> tuple[str, ...]:
-    out = tuple(str(v) for v in values)
+def _as_list(values, field: str) -> list:
+    """``values`` as a non-empty list; a bare string (which would iterate
+    per character) or a non-list is an error naming ``field``."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise ValueError(f"job field {field!r} must be a list, got {values!r}")
+    out = list(values)
     if not out:
-        raise ValueError(f"job needs at least one {what}")
+        raise ValueError(f"job needs at least one {field[:-1]}")
     return out
+
+
+def _as_names(values, field: str, check) -> tuple[str, ...]:
+    """``values`` as strings that ``check`` (a registry lookup) accepts;
+    anything else is an error naming ``field``."""
+    out = _as_list(values, field)
+    for value in out:
+        if not isinstance(value, str):
+            raise ValueError(f"job field {field!r} must hold strings, got {value!r}")
+        try:
+            check(value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"job field {field!r}: {err}") from None
+    return tuple(out)
+
+
+def _as_int(value, field: str) -> int:
+    """Any integral value but ``bool``; else an error naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"job field {field!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -101,38 +127,38 @@ class JobSpec:
         """Validated constructor normalizing every axis to tuples.
 
         Metric names are resolved and **sorted** here (satisfying the
-        canonical-JSON contract at the transport boundary); scheme and
-        algorithm spellings are kept but validated through their
-        registries, so a bad spec fails at submission — an HTTP 400 —
-        not inside a worker.
+        canonical-JSON contract at the transport boundary); scheme,
+        algorithm and metric spellings are validated through their
+        registries, so a bad spec fails at submission — an HTTP 400
+        whose error names the field — not inside a worker.
         """
         from repro.algorithms.registry import build_algorithm
         from repro.compress.registry import build_scheme
+        from repro.metrics.registry import resolve_metric
 
-        schemes = _as_strings(schemes, "scheme")
-        for s in schemes:
-            build_scheme(s)
-        algorithms = (
-            DEFAULT_ALGORITHMS
-            if algorithms is None
-            else _as_strings(algorithms, "algorithm")
-        )
-        for a in algorithms:
-            build_algorithm(a)
+        if not isinstance(graph, str) or not graph:
+            raise ValueError(
+                f"job field 'graph' must be a non-empty string, got {graph!r}"
+            )
+        schemes = _as_names(schemes, "schemes", build_scheme)
+        if algorithms is None:
+            algorithms = DEFAULT_ALGORITHMS
+        else:
+            algorithms = _as_names(algorithms, "algorithms", build_algorithm)
         if metrics is not None:
-            metrics = _canonical_metrics(_as_strings(metrics, "metric"))
-        seeds = tuple(int(s) for s in seeds)
-        if not seeds:
-            raise ValueError("job needs at least one seed")
+            metrics = _canonical_metrics(
+                _as_names(metrics, "metrics", resolve_metric)
+            )
+        seeds = tuple(_as_int(s, "seeds") for s in _as_list(seeds, "seeds"))
         return cls(
-            graph=str(graph),
+            graph=graph,
             schemes=schemes,
             algorithms=algorithms,
             metrics=metrics,
             seeds=seeds,
-            graph_seed=int(graph_seed),
-            bfs_root=int(bfs_root),
-            pr_iterations=int(pr_iterations),
+            graph_seed=_as_int(graph_seed, "graph_seed"),
+            bfs_root=_as_int(bfs_root, "bfs_root"),
+            pr_iterations=_as_int(pr_iterations, "pr_iterations"),
         )
 
     @classmethod

@@ -28,8 +28,8 @@ reappear, interrupted ones resubmit (completing instantly against a
 warm store) — ``kill -9`` loses nothing but in-flight wall time.
 
 Latency is sampled per job through :func:`repro.utils.timer.stopwatch`
-into a shared :class:`~repro.utils.timer.Timer` under ``cold`` (computed
-something) / ``warm`` (pure store replay) / ``failed`` labels;
+into per-label sample lists under ``cold`` (computed something) /
+``warm`` (pure store replay) / ``failed`` labels;
 :meth:`JobQueue.stats` exposes those histograms plus queue depth,
 per-state counts, and the store's thread-safe hit/miss counters — the
 payload of ``GET /metrics`` and the admin dashboard.
@@ -50,7 +50,7 @@ from repro.obs.spans import span
 from repro.runner.parallel import RetryPolicy
 from repro.runner.store import ArtifactStore
 from repro.service.jobs import JobResult, JobSpec, execute_job
-from repro.utils.timer import Timer, stopwatch
+from repro.utils.timer import stopwatch
 
 __all__ = [
     "JobQueue",
@@ -70,8 +70,8 @@ __all__ = [
 #: doubling up to 15 s, without jitter.
 QUEUE_RETRY = RetryPolicy(max_attempts=1, backoff_base=0.5, backoff_cap=15.0, jitter=0.0)
 
-# Process-wide rollups of queue activity; the per-instance Timer stays
-# the queue-local view the legacy JSON keys report.
+# Process-wide rollups of queue activity; the per-instance latency
+# samples stay the queue-local view the legacy JSON keys report.
 _jobs_submitted = counter("repro.service.jobs_submitted")
 _jobs_coalesced = counter("repro.service.jobs_coalesced")
 _queue_depth = gauge("repro.service.queue_depth")
@@ -237,7 +237,7 @@ class JobQueue:
 
             ledger = JobLedger(ledger)
         self.ledger = ledger
-        self.timer = Timer()
+        self._latency_samples: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         self._tasks: queue_module.Queue = queue_module.Queue()
         self._records: dict[str, JobRecord] = {}
@@ -381,11 +381,11 @@ class JobQueue:
             # Evict so an identical resubmission retries instead of
             # coalescing onto the corpse.
             self._inflight.pop(record.key, None)
+            self._latency_samples.setdefault("failed", []).append(seconds)
         if self.ledger is not None:
             self.ledger.record(
                 "failed", record.id, error=error, attempts=record.attempts
             )
-        self.timer.add_sample("failed", seconds)
         _latency["failed"].observe(seconds)
         record._event.set()
 
@@ -454,6 +454,7 @@ class JobQueue:
             self._tasks.put(record)
         else:
             warm = result.perf.get("cache_misses", 0) == 0
+            label = "warm" if warm else "cold"
             with self._lock:
                 record.result = result
                 record.warm = warm
@@ -463,12 +464,11 @@ class JobQueue:
                 # Done work is served by the store from here on; the
                 # dedupe map only ever holds in-flight keys.
                 self._inflight.pop(record.key, None)
+                self._latency_samples.setdefault(label, []).append(sw.seconds)
             if self.ledger is not None:
                 self.ledger.record(
                     "done", record.id, seconds=sw.seconds, warm=warm
                 )
-            label = "warm" if warm else "cold"
-            self.timer.add_sample(label, sw.seconds)
             _latency[label].observe(sw.seconds)
             record._event.set()
 
@@ -492,6 +492,10 @@ class JobQueue:
                 coalesced += record.coalesced
                 attempts += record.attempts
             total = len(self._records)
+            latency = {
+                label: _latency_summary(samples)
+                for label, samples in sorted(self._latency_samples.items())
+            }
         out = {
             "workers": self.workers,
             "queue_depth": states[QUEUED],
@@ -503,10 +507,7 @@ class JobQueue:
             "job_timeout": self.job_timeout,
             "max_queued": self.max_queued,
             "ledger": None if self.ledger is None else str(self.ledger.path),
-            "latency": {
-                label: _latency_summary(self.timer.samples(label))
-                for label in self.timer.labels()
-            },
+            "latency": latency,
             "metrics": metrics_snapshot(),
         }
         if self.store is not None:

@@ -20,12 +20,12 @@ value object:
   :func:`repro.runner.fingerprint.graph_fingerprint`), giving the
   generation ledger a stable content-addressed link between parent and
   child fingerprints;
-- **portable** — lossless JSON (:meth:`to_dict` / :meth:`from_dict`) and
-  binary NPZ (:meth:`save_npz` / :meth:`load_npz`) round trips.
+- **portable** — the text **stream file** (:func:`read_stream`,
+  :func:`write_stream`) is the one lossless on-disk form.
 
-The text **stream file** format (:func:`read_stream`, :func:`write_stream`)
-rides the hardened edge-list dialect of :mod:`repro.graphs.edgelist`
-(blank lines, CRLF, ``#``/``%`` comments, named-offender row errors):
+The stream file rides the hardened edge-list dialect of
+:mod:`repro.graphs.edgelist` (blank lines, CRLF, ``#``/``%`` comments,
+named-offender row errors):
 
 .. code-block:: text
 
@@ -51,7 +51,7 @@ from repro.graphs.edgelist import iter_edge_rows, parse_edge_row, parse_int_toke
 
 __all__ = ["EdgeDelta", "read_stream", "write_stream"]
 
-#: Bumps when the delta-id formula or the NPZ layout changes.
+#: Bumps when the delta-id formula changes.
 DELTA_SCHEMA_VERSION = 1
 _DELTA_ID_TAG = b"repro-edge-delta-v1"
 
@@ -311,120 +311,6 @@ class EdgeDelta:
             f"EdgeDelta(+{self.num_inserts} -{self.num_deletes} "
             f"={self.num_updates}, {kind}, id={self.delta_id[:12]})"
         )
-
-    # ------------------------------------------------------------------ #
-    # round trips
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict:
-        """JSON-safe lossless representation."""
-        out = {
-            "schema_version": DELTA_SCHEMA_VERSION,
-            "directed": self.directed,
-            "num_vertices": self.num_vertices,
-            "inserts": [
-                list(t)
-                for t in zip(self.insert_src.tolist(), self.insert_dst.tolist())
-            ],
-            "deletes": [
-                list(t)
-                for t in zip(self.delete_src.tolist(), self.delete_dst.tolist())
-            ],
-            "updates": [
-                [u, v, w]
-                for u, v, w in zip(
-                    self.update_src.tolist(),
-                    self.update_dst.tolist(),
-                    self.update_weights.tolist(),
-                )
-            ],
-        }
-        if self.insert_weights is not None:
-            out["insert_weights"] = self.insert_weights.tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeDelta":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"edge delta must be a JSON object, got {type(data).__name__}"
-            )
-        version = data.get("schema_version", DELTA_SCHEMA_VERSION)
-        if version != DELTA_SCHEMA_VERSION:
-            raise ValueError(
-                f"delta schema version {version} unsupported "
-                f"(this build reads {DELTA_SCHEMA_VERSION})"
-            )
-        known = {
-            "schema_version", "directed", "num_vertices",
-            "inserts", "deletes", "updates", "insert_weights",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown delta fields: {sorted(unknown)}")
-        inserts = [tuple(t) for t in data.get("inserts", [])]
-        iw = data.get("insert_weights")
-        if iw is not None:
-            if len(iw) != len(inserts):
-                raise ValueError("insert_weights must match the insert count")
-            inserts = [(u, v, w) for (u, v), w in zip(inserts, iw)]
-        return cls.build(
-            inserts=inserts,
-            deletes=[tuple(t) for t in data.get("deletes", [])],
-            updates=[tuple(t) for t in data.get("updates", [])],
-            directed=bool(data.get("directed", False)),
-            num_vertices=data.get("num_vertices"),
-        )
-
-    def save_npz(self, path) -> Path:
-        """Binary round trip (atomic write, like graph snapshots)."""
-        from repro.utils.fileio import atomic_write
-
-        arrays = {
-            "version": np.int64(DELTA_SCHEMA_VERSION),
-            "directed": np.bool_(self.directed),
-            "num_vertices": np.int64(
-                -1 if self.num_vertices is None else self.num_vertices
-            ),
-            "insert_src": self.insert_src,
-            "insert_dst": self.insert_dst,
-            "delete_src": self.delete_src,
-            "delete_dst": self.delete_dst,
-            "update_src": self.update_src,
-            "update_dst": self.update_dst,
-            "update_weights": self.update_weights,
-        }
-        if self.insert_weights is not None:
-            arrays["insert_weights"] = self.insert_weights
-        return atomic_write(path, lambda fh: np.savez(fh, **arrays))
-
-    @classmethod
-    def load_npz(cls, path) -> "EdgeDelta":
-        with np.load(Path(path)) as data:
-            try:
-                version = int(data["version"])
-            except KeyError:
-                raise ValueError(f"{path} is not an edge-delta file") from None
-            if version != DELTA_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{path} has delta version {version}; "
-                    f"this build reads {DELTA_SCHEMA_VERSION}"
-                )
-            nv = int(data["num_vertices"])
-            return cls(
-                insert_src=data["insert_src"],
-                insert_dst=data["insert_dst"],
-                insert_weights=(
-                    data["insert_weights"] if "insert_weights" in data else None
-                ),
-                delete_src=data["delete_src"],
-                delete_dst=data["delete_dst"],
-                update_src=data["update_src"],
-                update_dst=data["update_dst"],
-                update_weights=data["update_weights"],
-                directed=bool(data["directed"]),
-                num_vertices=None if nv < 0 else nv,
-            )
 
 
 # --------------------------------------------------------------------- #

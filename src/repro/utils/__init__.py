@@ -1,7 +1,6 @@
 """Shared utilities: deterministic RNG plumbing, timing, chunking, validation."""
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timer import Timer
 from repro.utils.chunking import chunk_ranges, balanced_chunks
 from repro.utils.validation import (
     check_probability,
@@ -13,7 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "Timer",
     "chunk_ranges",
     "balanced_chunks",
     "check_probability",

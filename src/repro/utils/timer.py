@@ -2,19 +2,16 @@
 
 The paper reports *relative* runtime differences between algorithms running
 on compressed and original graphs (Fig. 5) and relative compression-routine
-costs (§7.4).  ``Timer`` keeps per-label samples so harness code can compute
-means and non-parametric confidence intervals the way the paper's methodology
-section prescribes (first 1% treated as warmup, arithmetic means).
+costs (§7.4).  Every measured region goes through one clock:
+:func:`stopwatch` for a block, :func:`timed_call` for one call.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 
-__all__ = ["Timer", "Stopwatch", "stopwatch", "timed_call", "inverse_normal_cdf"]
+__all__ = ["Stopwatch", "stopwatch", "timed_call"]
 
 
 class Stopwatch:
@@ -57,136 +54,3 @@ def timed_call(fn, *args, **kwargs):
     with stopwatch() as sw:
         out = fn(*args, **kwargs)
     return out, sw.seconds
-
-
-class Timer:
-    """Accumulates named wall-clock samples.
-
-    Example
-    -------
-    >>> t = Timer()
-    >>> with t.measure("pagerank"):
-    ...     _ = sum(range(1000))
-    >>> t.mean("pagerank") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._samples: dict[str, list[float]] = defaultdict(list)
-
-    @contextmanager
-    def measure(self, label: str):
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self._samples[label].append(time.perf_counter() - start)
-
-    def add_sample(self, label: str, seconds: float) -> None:
-        self._samples[label].append(float(seconds))
-
-    def samples(self, label: str) -> list[float]:
-        return list(self._samples[label])
-
-    def mean(self, label: str, *, warmup_fraction: float = 0.0) -> float:
-        """Arithmetic mean, optionally discarding a leading warmup fraction.
-
-        The paper treats the first 1% of performance data as warmup; pass
-        ``warmup_fraction=0.01`` to follow that methodology.
-        """
-        data = self._samples[label]
-        if not data:
-            raise KeyError(f"no samples recorded for {label!r}")
-        skip = math.floor(len(data) * warmup_fraction)
-        kept = data[skip:] or data
-        return sum(kept) / len(kept)
-
-    def total(self, label: str) -> float:
-        return sum(self._samples[label])
-
-    def labels(self) -> list[str]:
-        return sorted(self._samples)
-
-    def confidence_interval(self, label: str, *, level: float = 0.95):
-        """Non-parametric (order-statistic) CI on the median.
-
-        Mirrors the paper's "95% non-parametric confidence intervals".
-        Returns ``(low, high)``; degenerates to (min, max) for tiny samples.
-        """
-        data = sorted(self._samples[label])
-        n = len(data)
-        if n == 0:
-            raise KeyError(f"no samples recorded for {label!r}")
-        if n < 6:
-            return data[0], data[-1]
-        # Normal approximation to binomial order statistics around the median.
-        z = 1.959963984540054 if abs(level - 0.95) < 1e-9 else _z_for(level)
-        half = z * math.sqrt(n) / 2.0
-        lo = max(0, math.floor(n / 2 - half))
-        hi = min(n - 1, math.ceil(n / 2 + half))
-        return data[lo], data[hi]
-
-
-def _z_for(level: float) -> float:
-    """Inverse normal CDF for the two-sided confidence ``level``."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level!r}")
-    return inverse_normal_cdf(0.5 + level / 2.0)
-
-
-# Acklam's rational-approximation coefficients (central region a/b,
-# tails c/d); relative error < 1.15e-9 before refinement.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-#: Central/tail split point of Acklam's approximation.
-_ACKLAM_SPLIT = 0.02425
-
-
-def inverse_normal_cdf(p: float) -> float:
-    """The standard normal quantile function Φ⁻¹(p), stdlib only.
-
-    Acklam's rational approximation followed by one Halley step through
-    ``math.erfc``, which lands within a few ulp of ``scipy.stats.
-    norm.ppf`` — the dependency this replaces (the sole scipy import in
-    the codebase rode on this one function).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p!r}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _ACKLAM_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (
-            ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        ) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley refinement: error of the approximation against the exact
-    # CDF (via erfc), corrected with second-order convergence.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)

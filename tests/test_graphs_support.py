@@ -1,10 +1,9 @@
-"""Tests for datasets, views, edge-list I/O, weights, properties, builder."""
+"""Tests for datasets, views, edge-list I/O, weights and properties."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import datasets
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import (
     iter_edge_rows,
@@ -237,36 +236,3 @@ class TestProperties:
         stats = degree_statistics(star20)
         assert stats["max"] == 19
         assert stats["median"] == 1.0
-
-
-class TestBuilder:
-    def test_incremental_build(self):
-        b = GraphBuilder(5)
-        b.add_edge(0, 1)
-        b.add_edge(1, 2)
-        b.add_edges([2, 3], [3, 4])
-        g = b.build()
-        assert len(b) == 4
-        assert g.num_edges == 4
-
-    def test_weighted_builder(self):
-        b = GraphBuilder(3, weighted=True)
-        b.add_edge(0, 1, weight=2.0)
-        b.add_edges([1], [2], weights=[3.0])
-        g = b.build()
-        assert g.total_weight() == 5.0
-
-    def test_growth_beyond_initial_capacity(self):
-        b = GraphBuilder(100)
-        src = np.repeat(np.arange(99), 1)
-        b.add_edges(src, src + 1)
-        for i in range(50):
-            b.add_edge(0, i + 2)
-        g = b.build()
-        assert g.num_edges > 99
-
-    def test_dedup_on_build(self):
-        b = GraphBuilder(3, weighted=True)
-        b.add_edge(0, 1, 1.0)
-        b.add_edge(1, 0, 2.0)
-        assert b.build(dedup="sum").total_weight() == 3.0

@@ -137,15 +137,6 @@ class TestSeedPlumbing:
         ]
         assert key(got) == key(expected)
 
-    def test_score_cells_public_surface(self, plc300):
-        session = Session(plc300, seed=2)
-        run = session.compress("uniform(p=0.5)")
-        cells = session.score_cells(run, "pr", ["kl", "l2"])
-        assert [c.metric for c in cells] == ["kl_divergence", "l2_distance"]
-        assert all(c.seed == 2 for c in cells)
-        with pytest.raises(ValueError, match="does not apply"):
-            session.score_cells(run, "cc", ["kl"])
-
 
 class TestWorkerCompressionCache:
     """Regression pin for the `_compute_cell` run-cache semantics: the

@@ -58,15 +58,6 @@ class TestStoreRoundTrip:
         assert store.stats.writes == 1
         assert len(store) == 1
 
-    def test_arrays_sidecar(self, store):
-        key = store.cell_key(FP, "uniform(p=0.5)", 0, "pr", ["kl"])
-        ranks = np.linspace(0, 1, 7)
-        store.put_cells(key, PAYLOAD, arrays={"ranks": ranks})
-        loaded = store.load_arrays(key)
-        np.testing.assert_array_equal(loaded["ranks"], ranks)
-        other = store.cell_key(FP, "uniform(p=0.5)", 1, "pr", ["kl"])
-        assert store.load_arrays(other) is None
-
     def test_truncated_record_is_a_miss(self, store):
         """Atomic-write crash simulation: a half-written record must read
         as a miss (recomputed + overwritten), never as an error."""
@@ -100,7 +91,7 @@ class TestStoreRoundTrip:
 
     def test_no_temp_files_left_behind(self, store):
         key = store.cell_key(FP, "uniform(p=0.5)", 0, "pr", ["kl"])
-        store.put_cells(key, PAYLOAD, arrays={"x": np.arange(3)})
+        store.put_cells(key, PAYLOAD)
         leftovers = list(store.root.rglob("*.tmp"))
         assert leftovers == []
 

@@ -94,6 +94,21 @@ class TestEndpoints:
         assert status == 400
         status, payload = _post(base, {"schemes": ["uniform(p=0.5)"]})
         assert status == 400 and "graph" in payload["error"]
+        # Each malformed field is a 400 naming that field, never a 202 that
+        # fails later inside a worker.
+        for field, value in [
+            ("metrics", ["nope"]),
+            ("schemes", "uniform(p=0.5)"),
+            ("seeds", [1.5]),
+            ("seeds", [True]),
+            ("pr_iterations", None),
+            ("graph_seed", [1]),
+            ("graph", 5),
+        ]:
+            body = {"graph": GRAPH, "schemes": ["uniform(p=0.5)"], field: value}
+            status, payload = _post(base, body)
+            assert status == 400, (field, value, payload)
+            assert f"job field '{field}'" in payload["error"], payload
 
     def test_dashboard_serves_html(self, service):
         base, _ = service

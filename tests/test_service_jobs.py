@@ -111,6 +111,50 @@ class TestTransport:
         with pytest.raises(ValueError, match="at least one seed"):
             _job(seeds=[])
 
+    #: (field overrides, the field the error must name) for untrusted
+    #: bodies: wrong types are rejected, never coerced or run.
+    MALFORMED = [
+        ({"metrics": ["nope"]}, "metrics"),
+        ({"schemes": "uniform(p=0.5)"}, "schemes"),
+        ({"schemes": 5}, "schemes"),
+        ({"schemes": [5]}, "schemes"),
+        ({"algorithms": "pr"}, "algorithms"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"seeds": "01"}, "seeds"),
+        ({"pr_iterations": None}, "pr_iterations"),
+        ({"pr_iterations": 2.0}, "pr_iterations"),
+        ({"graph_seed": [1]}, "graph_seed"),
+        ({"graph_seed": True}, "graph_seed"),
+        ({"bfs_root": "3"}, "bfs_root"),
+        ({"graph": 5}, "graph"),
+        ({"graph": ""}, "graph"),
+    ]
+
+    @pytest.mark.parametrize(
+        "overrides, field", MALFORMED, ids=[f for _, f in MALFORMED]
+    )
+    def test_malformed_fields_named(self, overrides, field):
+        body = {"graph": "g", "schemes": ["uniform(p=0.5)"], **overrides}
+        with pytest.raises(ValueError, match=f"job field '{field}'"):
+            JobSpec.from_dict(body)
+
+    def test_registry_errors_name_the_field(self):
+        with pytest.raises(ValueError, match="'schemes': unknown scheme"):
+            _job(schemes=["no_such_scheme(p=0.5)"])
+        with pytest.raises(ValueError, match="'algorithms': unknown algorithm"):
+            _job(algorithms=["no_such_algorithm"])
+        with pytest.raises(ValueError, match="'metrics': unknown metric 'nope'"):
+            _job(metrics=["kl", "nope"])
+
+    def test_any_integral_seed_is_accepted(self):
+        import numpy as np
+
+        job = _job(seeds=np.array([3, 1]), graph_seed=np.int64(2))
+        assert job.seeds == (3, 1) and job.graph_seed == 2
+        assert all(type(s) is int for s in job.seeds)
+        assert type(job.graph_seed) is int
+
     def test_from_sweep_matches_harness_axes(self):
         from repro.runner.harness import get_sweep
 

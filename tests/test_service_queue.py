@@ -183,6 +183,39 @@ class TestObservability:
             assert stats["latency"]["cold"]["max"] >= stats["latency"]["cold"]["min"] > 0
             assert stats["store"]["hits"] == _spec().cell_groups()
 
+    def test_latency_block_is_the_jobs_recorded_seconds(self, loader, tmp_path):
+        """``stats()["latency"]`` summarizes exactly each finished job's
+        ``seconds``, labelled cold / warm / failed, in sorted label order."""
+        from repro.service.jobs import execute_job
+
+        def flaky(spec, **kwargs):
+            if spec.graph == "boom":
+                raise RuntimeError("synthetic job failure")
+            return execute_job(spec, **kwargs)
+
+        with JobQueue(
+            tmp_path / "store", workers=1, graph_loader=loader, executor=flaky
+        ) as q:
+            records = []
+            for spec in (_spec(), _spec(seeds=[1]), _spec(), _spec(graph="boom")):
+                records.append(q.submit(spec))
+                assert records[-1].wait(60)
+            latency = q.stats()["latency"]
+        by_label = {}
+        for r in records:
+            label = "failed" if r.state == FAILED else ("warm" if r.warm else "cold")
+            by_label.setdefault(label, []).append(r.seconds)
+        assert list(latency) == ["cold", "failed", "warm"]
+        for label, seconds in by_label.items():
+            assert latency[label] == {
+                "count": len(seconds),
+                "total": sum(seconds),
+                "mean": sum(seconds) / len(seconds),
+                "min": min(seconds),
+                "max": max(seconds),
+            }
+        assert [latency[k]["count"] for k in latency] == [2, 1, 1]
+
     def test_records_newest_first(self, loader):
         with JobQueue(workers=1, graph_loader=loader) as q:
             a = q.submit(_spec())

@@ -1,11 +1,10 @@
-"""Tests for utility modules: RNG plumbing, chunking, timer, validation."""
+"""Tests for utility modules: RNG plumbing, chunking, stopwatch, validation."""
 
 import numpy as np
 import pytest
 
 from repro.utils.chunking import balanced_chunks, chunk_ranges
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
@@ -72,105 +71,6 @@ class TestChunking:
     def test_balanced_zero_weights(self):
         ranges = balanced_chunks(np.zeros(6), 2)
         assert sum(hi - lo for lo, hi in ranges) == 6
-
-
-class TestTimer:
-    def test_measure_and_mean(self):
-        t = Timer()
-        with t.measure("work"):
-            pass
-        assert t.mean("work") >= 0.0
-        assert t.total("work") >= 0.0
-        assert t.labels() == ["work"]
-
-    def test_warmup_fraction(self):
-        t = Timer()
-        for v in [100.0] + [1.0] * 99:
-            t.add_sample("x", v)
-        assert t.mean("x", warmup_fraction=0.01) == pytest.approx(1.0)
-        assert t.mean("x") == pytest.approx(1.99)
-
-    def test_missing_label(self):
-        with pytest.raises(KeyError):
-            Timer().mean("nope")
-
-    def test_confidence_interval(self):
-        t = Timer()
-        for v in range(100):
-            t.add_sample("x", float(v))
-        lo, hi = t.confidence_interval("x")
-        assert lo <= 49.5 <= hi
-        t2 = Timer()
-        t2.add_sample("y", 1.0)
-        assert t2.confidence_interval("y") == (1.0, 1.0)
-
-
-class TestInverseNormal:
-    """The stdlib-only quantile function pinned to scipy's values.
-
-    ``inverse_normal_cdf`` (Acklam's approximation + one Halley step)
-    replaced the lazy ``scipy.stats.norm.ppf`` import in ``_z_for``; the
-    pins below are scipy 1.x outputs, so any drift from the removed
-    dependency fails here.
-    """
-
-    #: p -> scipy.stats.norm.ppf(p), high-precision reference values.
-    SCIPY_PINS = {
-        0.5: 0.0,
-        0.75: 0.6744897501960817,
-        0.25: -0.6744897501960817,
-        0.95: 1.6448536269514722,
-        0.975: 1.959963984540054,
-        0.995: 2.5758293035489004,
-        0.999: 3.090232306167813,
-        0.9995: 3.2905267314918945,
-        0.01: -2.3263478740408408,
-        0.001: -3.090232306167813,
-        1e-9: -5.997807015007531,
-    }
-
-    def test_pinned_scipy_values(self):
-        from repro.utils.timer import inverse_normal_cdf
-
-        for p, want in self.SCIPY_PINS.items():
-            assert inverse_normal_cdf(p) == pytest.approx(want, abs=1e-12)
-
-    def test_symmetry(self):
-        from repro.utils.timer import inverse_normal_cdf
-
-        for p in (0.01, 0.1, 0.3, 0.45):
-            assert inverse_normal_cdf(p) == pytest.approx(
-                -inverse_normal_cdf(1.0 - p), abs=1e-12
-            )
-
-    def test_round_trip_through_cdf(self):
-        import math
-
-        from repro.utils.timer import inverse_normal_cdf
-
-        for p in (0.001, 0.1, 0.5, 0.9, 0.999):
-            x = inverse_normal_cdf(p)
-            cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-            assert cdf == pytest.approx(p, abs=1e-13)
-
-    def test_domain_validation(self):
-        from repro.utils.timer import inverse_normal_cdf
-
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                inverse_normal_cdf(bad)
-
-    def test_z_for_confidence_levels(self):
-        # _z_for(level) is ppf(0.5 + level/2): the two-sided z*.
-        from repro.utils.timer import _z_for
-
-        assert _z_for(0.95) == pytest.approx(1.959963984540054, abs=1e-12)
-        assert _z_for(0.99) == pytest.approx(2.5758293035489004, abs=1e-12)
-        assert _z_for(0.90) == pytest.approx(1.6448536269514722, abs=1e-12)
-        with pytest.raises(ValueError):
-            _z_for(0.0)
-        with pytest.raises(ValueError):
-            _z_for(1.0)
 
 
 class TestStopwatch:
