@@ -18,6 +18,7 @@ Two properties worth seeing with your own eyes:
   (degree, fraction) cloud.
 
 Run:  python examples/distributed_compression.py
+(exits 1 if the runs are not bit-identical)
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.distributed import distributed_uniform_sampling
 from repro.metrics.distributions import degree_histogram
 
 
-def main() -> None:
+def main() -> int:
     crawl = datasets.load("h-duk", seed=0)  # directed web-crawl stand-in
     print(f"web crawl: {crawl}")
     print(f"paper original: n=787M, m=47.6B (scaled-down stand-in)\n")
@@ -53,14 +54,17 @@ def main() -> None:
             f"  per-rank deletions={list(run.deleted_per_rank)}"
         )
     identical = all(
-        np.array_equal(graphs[0].edge_src, g.edge_src) for g in graphs[1:]
+        np.array_equal(graphs[0].edge_src, g.edge_src)
+        and np.array_equal(graphs[0].edge_dst, g.edge_dst)
+        for g in graphs[1:]
     )
     print(f"\nall runs bit-identical : {identical}")
 
     pts0 = len(degree_histogram(crawl)[0])
     pts1 = len(degree_histogram(graphs[0])[0])
     print(f"degree-cloud points    : {pts0} -> {pts1} (clutter removed, Fig. 8)")
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -33,15 +33,13 @@ from repro.algorithms.triangles import (
     count_triangles,
     triangles_per_vertex,
     edge_triangle_counts,
-    approx_count_doulion,
-    approx_count_wedge_sampling,
 )
 from repro.algorithms.sssp import SSSPResult, dijkstra, delta_stepping, sssp
 from repro.algorithms.mst import MSTResult, kruskal, boruvka, minimum_spanning_forest
 from repro.algorithms.matching import MatchingResult, greedy_matching, maximum_matching_size
 from repro.algorithms.coloring import ColoringResult, greedy_coloring, coloring_number
-from repro.algorithms.independent_set import greedy_mis, luby_mis
-from repro.algorithms.kcore import CoreResult, core_numbers, degeneracy_ordering
+from repro.algorithms.independent_set import greedy_mis
+from repro.algorithms.kcore import CoreResult, core_numbers
 from repro.algorithms.paths import PathStats, path_length_stats, pairwise_distance, exact_diameter
 from repro.algorithms.betweenness import betweenness_centrality
 from repro.algorithms.spectrum import (
@@ -76,8 +74,6 @@ __all__ = [
     "count_triangles",
     "triangles_per_vertex",
     "edge_triangle_counts",
-    "approx_count_doulion",
-    "approx_count_wedge_sampling",
     "SSSPResult",
     "dijkstra",
     "delta_stepping",
@@ -93,10 +89,8 @@ __all__ = [
     "greedy_coloring",
     "coloring_number",
     "greedy_mis",
-    "luby_mis",
     "CoreResult",
     "core_numbers",
-    "degeneracy_ordering",
     "PathStats",
     "path_length_stats",
     "pairwise_distance",

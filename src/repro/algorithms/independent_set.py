@@ -3,8 +3,7 @@
 Table 3 tracks the maximum independent set size ÎS under compression;
 exact MIS is NP-hard, so the substrate reports the greedy (min-degree)
 maximal independent set — the standard comparable proxy when the same
-heuristic runs on original and compressed graphs — plus Luby's
-random-priority parallel MIS for the engine-flavored variant.
+heuristic runs on original and compressed graphs.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.graphs.csr import CSRGraph
-from repro.utils.rng import as_generator
 
-__all__ = ["greedy_mis", "luby_mis"]
+__all__ = ["greedy_mis"]
 
 
 @register_algorithm(
@@ -56,36 +54,3 @@ def greedy_mis(g: CSRGraph) -> np.ndarray:
                     if alive[w]:
                         deg[w] -= 1
     return np.array(sorted(chosen), dtype=np.int64)
-
-
-def luby_mis(g: CSRGraph, *, seed=None) -> np.ndarray:
-    """Luby's algorithm: rounds of random priorities, local minima join.
-
-    Each round is vectorized over edges; expected O(log n) rounds.
-    """
-    if g.directed:
-        raise ValueError("independent set expects an undirected graph")
-    rng = as_generator(seed)
-    n = g.n
-    in_set = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    src, dst = g.edge_src, g.edge_dst
-    while alive.any():
-        pri = rng.random(n)
-        pri[~alive] = np.inf
-        # A vertex joins if it beats every live neighbor.
-        loses = np.zeros(n, dtype=bool)
-        live_edge = alive[src] & alive[dst]
-        es, ed = src[live_edge], dst[live_edge]
-        src_wins = pri[es] < pri[ed]
-        loses[ed[src_wins]] = True
-        loses[es[~src_wins]] = True
-        winners = alive & ~loses
-        in_set[winners] = True
-        # Remove winners and their neighborhoods.
-        alive[winners] = False
-        kill_edge = in_set[src] | in_set[dst]
-        alive[src[kill_edge]] = False
-        alive[dst[kill_edge]] = False
-        alive[winners] = False
-    return np.flatnonzero(in_set)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.algorithms.registry import register_algorithm
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["CoreResult", "core_numbers", "degeneracy_ordering"]
+__all__ = ["CoreResult", "core_numbers"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,3 @@ def core_numbers(g: CSRGraph) -> CoreResult:
                 bin_ptr[du] += 1
                 core[u] -= 1
     return CoreResult(core=core, order=vert)
-
-
-def degeneracy_ordering(g: CSRGraph) -> np.ndarray:
-    """The peeling order; color in *reverse* of this for the coloring number."""
-    return core_numbers(g).order

@@ -1,4 +1,4 @@
-"""Triangle listing, counting, and approximate counting.
+"""Triangle listing and counting.
 
 Triangle Reduction (§4.3) makes triangles "the smallest unit of graph
 compression", so exact listing is on the compression hot path.  We use the
@@ -12,10 +12,8 @@ taken as row-blocked scipy sparse products.  Both the join and the count
 work in blocks cut by cumulative wedge count, so peak memory is bounded
 by wedges, not arcs.
 
-Approximate counters (DOULION edge sparsification and wedge sampling,
-§4.3's "numerous approximate schemes") are provided for the accuracy
-analytics, and per-vertex counts back Table 6 (average triangles per
-vertex) and the reordered-pairs metric for TC.
+Per-vertex counts back Table 6 (average triangles per vertex) and the
+reordered-pairs metric for TC.
 
 Because triangle structure is consumed repeatedly on the *same* graph
 (TR across seeds, the ``tc`` baseline, ``summarize``, Table 3 bound
@@ -36,8 +34,6 @@ import numpy as np
 from repro.algorithms.registry import register_algorithm
 from repro.graphs.analysis import analysis_cache, cached_analysis
 from repro.graphs.csr import CSRGraph
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_probability
 
 __all__ = [
     "TriangleList",
@@ -45,8 +41,6 @@ __all__ = [
     "count_triangles",
     "triangles_per_vertex",
     "edge_triangle_counts",
-    "approx_count_doulion",
-    "approx_count_wedge_sampling",
     "edge_ids_of_pairs",
 ]
 
@@ -330,42 +324,3 @@ def edge_ids_of_pairs(g: CSRGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         bad = int(np.flatnonzero(~ok)[0])
         raise KeyError(f"pair ({u[bad]}, {v[bad]}) is not an edge")
     return order[pos]
-
-
-def approx_count_doulion(g: CSRGraph, p: float, *, seed=None) -> float:
-    """DOULION estimator: sparsify with probability ``p``, count, scale 1/p³.
-
-    Unbiased for the global triangle count; the same "coin" the paper cites
-    for uniform sampling preserving triangle counts (§4.2.2).
-    """
-    check_probability(p, "p")
-    if p == 0.0:
-        return 0.0
-    rng = as_generator(seed)
-    keep = rng.random(g.num_edges) < p
-    return count_triangles(g.keep_edges(keep)) / p**3
-
-
-def approx_count_wedge_sampling(g: CSRGraph, samples: int = 10_000, *, seed=None) -> float:
-    """Wedge-sampling estimator of the triangle count.
-
-    Samples wedges (paths of length 2) proportionally to d(v)·(d(v)-1)/2,
-    checks closure, and scales: T ≈ closed_fraction × total_wedges / 3.
-    """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    rng = as_generator(seed)
-    deg = g.degrees.astype(np.float64)
-    wedges_per_vertex = deg * (deg - 1) / 2.0
-    total_wedges = wedges_per_vertex.sum()
-    if total_wedges == 0:
-        return 0.0
-    prob = wedges_per_vertex / total_wedges
-    centers = rng.choice(g.n, size=samples, p=prob)
-    closed = 0
-    for c in centers:
-        row = g.neighbors(c)
-        i, j = rng.choice(len(row), size=2, replace=False)
-        if g.has_edge(int(row[i]), int(row[j])):
-            closed += 1
-    return (closed / samples) * total_wedges / 3.0

@@ -5,7 +5,6 @@ from repro.distributed.rma import Window, RMAError
 from repro.distributed.engine import (
     DistributedCompressionResult,
     distributed_uniform_sampling,
-    distributed_spectral,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "RMAError",
     "DistributedCompressionResult",
     "distributed_uniform_sampling",
-    "distributed_spectral",
 ]

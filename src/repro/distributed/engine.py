@@ -14,7 +14,7 @@ the single-node scheme with the same seed**:
 - ``backend="process"`` — ranks are real OS processes attached to a
   ``multiprocessing.shared_memory`` window.
 
-Only uniform and spectral kernels are supported, matching the paper
+Only the uniform sampling kernel is supported, matching the paper
 ("Currently, we use a distributed-memory implementation of edge
 compression kernels").
 """
@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compress.base import CompressionResult
-from repro.compress.spectral import edge_keep_probabilities
 from repro.distributed.partition import EdgePartition
 from repro.distributed.rma import Window
 from repro.graphs.csr import CSRGraph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability
 
-__all__ = ["DistributedCompressionResult", "distributed_uniform_sampling", "distributed_spectral"]
+__all__ = ["DistributedCompressionResult", "distributed_uniform_sampling"]
 
 
 @dataclass(frozen=True)
@@ -46,88 +45,23 @@ class DistributedCompressionResult:
     deleted_per_rank: tuple[int, ...]
 
 
-def _rank_keep_mask(keep_prob_slice: np.ndarray, coins_slice: np.ndarray) -> np.ndarray:
-    """One rank's kernel sweep: keep edge e iff coin_e <= p_e."""
-    return (coins_slice <= keep_prob_slice).astype(np.uint8)
+def _rank_keep_mask(p: float, coins_slice: np.ndarray) -> np.ndarray:
+    """One rank's kernel sweep: keep edge e iff coin_e <= p."""
+    return (coins_slice <= p).astype(np.uint8)
 
 
 def _process_worker(args) -> tuple[int, int]:
     """Worker entry: attach to the shared window, compress own partition."""
-    window_name, total, lo, hi, keep_prob_slice, coins_slice = args
+    window_name, total, lo, hi, p, coins_slice = args
     win = Window(total, dtype="uint8", shared=True, name=window_name)
     try:
-        mask = _rank_keep_mask(keep_prob_slice, coins_slice)
+        mask = _rank_keep_mask(p, coins_slice)
         win.lock(rank=lo)  # any unique token; asserts exclusive access
         win.put(lo, mask)
         win.unlock(rank=lo)
         return hi - lo, int((mask == 0).sum())
     finally:
         win._shm.close()  # attach-only close; creator unlinks
-
-
-def _run(
-    g: CSRGraph,
-    keep_prob: np.ndarray,
-    *,
-    num_ranks: int,
-    seed,
-    backend: str,
-    scheme_name: str,
-    params: dict,
-    reweight: bool,
-) -> DistributedCompressionResult:
-    partition = EdgePartition.contiguous(g, num_ranks)
-    partition.validate(g.num_edges)
-    m = g.num_edges
-    # The global coin sequence: rank r reads its slice.  A real MPI rank
-    # regenerates its slice with a counter-based RNG instead of shipping it.
-    coins = as_generator(seed).random(m)
-
-    if backend == "inprocess":
-        window = Window(m, dtype="uint8")
-        window.fence()
-        stats = []
-        for lo, hi in partition.ranges:
-            mask = _rank_keep_mask(keep_prob[lo:hi], coins[lo:hi])
-            window.put(lo, mask)
-            stats.append((hi - lo, int((mask == 0).sum())))
-        window.fence()
-        keep = window.buffer.astype(bool)
-    elif backend == "process":
-        import multiprocessing as mp
-
-        with Window(m, dtype="uint8", shared=True) as window:
-            jobs = [
-                (window.name, m, lo, hi, keep_prob[lo:hi].copy(), coins[lo:hi].copy())
-                for lo, hi in partition.ranges
-            ]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(processes=min(len(jobs), 4)) as pool:
-                stats = pool.map(_process_worker, jobs)
-            keep = window.buffer.astype(bool).copy()
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    compressed = g.keep_edges(keep)
-    if reweight:
-        base = (
-            g.edge_weights[keep]
-            if g.is_weighted
-            else np.ones(int(keep.sum()), dtype=np.float64)
-        )
-        compressed = compressed.with_weights(base / keep_prob[keep])
-    result = CompressionResult(
-        graph=compressed,
-        original=g,
-        scheme=scheme_name,
-        params=params,
-    )
-    return DistributedCompressionResult(
-        result=result,
-        num_ranks=len(partition.ranges),
-        edges_per_rank=tuple(s[0] for s in stats),
-        deleted_per_rank=tuple(s[1] for s in stats),
-    )
 
 
 def distributed_uniform_sampling(
@@ -140,44 +74,49 @@ def distributed_uniform_sampling(
 ) -> DistributedCompressionResult:
     """Fig. 8's experiment: uniform sampling over edge partitions."""
     check_probability(p, "p")
-    keep_prob = np.full(g.num_edges, p)
-    return _run(
-        g,
-        keep_prob,
-        num_ranks=num_ranks,
-        seed=seed,
-        backend=backend,
-        scheme_name="distributed_uniform",
+    partition = EdgePartition.contiguous(g, num_ranks)
+    partition.validate(g.num_edges)
+    m = g.num_edges
+    # The global coin sequence: rank r reads its slice.  A real MPI rank
+    # regenerates its slice with a counter-based RNG instead of shipping it.
+    coins = as_generator(seed).random(m)
+
+    if backend == "inprocess":
+        window = Window(m, dtype="uint8")
+        window.fence()
+        stats = []
+        for lo, hi in partition.ranges:
+            mask = _rank_keep_mask(p, coins[lo:hi])
+            window.put(lo, mask)
+            stats.append((hi - lo, int((mask == 0).sum())))
+        window.fence()
+        keep = window.buffer.astype(bool)
+    elif backend == "process":
+        import multiprocessing as mp
+
+        with Window(m, dtype="uint8", shared=True) as window:
+            jobs = [
+                (window.name, m, lo, hi, p, coins[lo:hi].copy())
+                for lo, hi in partition.ranges
+            ]
+            stats = []
+            if jobs:  # an edgeless graph has no partitions and needs no pool
+                ctx = mp.get_context("fork")
+                with ctx.Pool(processes=min(len(jobs), 4)) as pool:
+                    stats = pool.map(_process_worker, jobs)
+            keep = window.buffer.astype(bool).copy()
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+
+    result = CompressionResult(
+        graph=g.keep_edges(keep),
+        original=g,
+        scheme="distributed_uniform",
         params={"p": p, "num_ranks": num_ranks},
-        reweight=False,
     )
-
-
-def distributed_spectral(
-    g: CSRGraph,
-    p: float,
-    *,
-    variant: str = "logn",
-    num_ranks: int = 4,
-    seed=None,
-    backend: str = "inprocess",
-    reweight: bool = True,
-) -> DistributedCompressionResult:
-    """Distributed spectral sparsification (degree-aware edge kernel).
-
-    Degrees are globally available in the CSR replica each rank holds, as
-    in the paper's implementation where kernels read degrees of both
-    endpoints.
-    """
-    check_probability(p, "p")
-    keep_prob = edge_keep_probabilities(g, p, variant)
-    return _run(
-        g,
-        keep_prob,
-        num_ranks=num_ranks,
-        seed=seed,
-        backend=backend,
-        scheme_name="distributed_spectral",
-        params={"p": p, "variant": variant, "num_ranks": num_ranks},
-        reweight=reweight,
+    return DistributedCompressionResult(
+        result=result,
+        num_ranks=len(partition.ranges),
+        edges_per_rank=tuple(s[0] for s in stats),
+        deleted_per_rank=tuple(s[1] for s in stats),
     )

@@ -2,9 +2,8 @@
 
 The paper's distributed pipeline runs *edge compression kernels* over an
 edge-partitioned graph with MPI RMA.  ``EdgePartition`` reproduces the data
-layout: canonical edges are split into per-rank ranges (contiguous 1-D
-blocks, the layout of the paper's MPI implementation, or degree-balanced
-blocks for skewed graphs).  Each rank owns its slice of the global keep
+layout: canonical edges are split into per-rank contiguous 1-D blocks, the
+layout of the paper's MPI implementation.  Each rank owns its slice of the global keep
 mask; ownership is disjoint, so ranks never conflict — the property that
 makes the paper's one-sided-communication design race-free.
 """
@@ -13,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.graphs.csr import CSRGraph
-from repro.utils.chunking import balanced_chunks, chunk_ranges
+from repro.utils.chunking import chunk_ranges
 
 __all__ = ["EdgePartition"]
 
@@ -36,26 +33,6 @@ class EdgePartition:
         ranges = chunk_ranges(g.num_edges, num_ranks)
         return cls(num_ranks=max(1, len(ranges)) if g.num_edges else num_ranks,
                    ranges=tuple(ranges))
-
-    @classmethod
-    def balanced(cls, g: CSRGraph, num_ranks: int) -> "EdgePartition":
-        """Ranges balanced by endpoint degree sums (power-law graphs)."""
-        if num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        deg = g.degrees
-        weight = deg[g.edge_src] + deg[g.edge_dst]
-        ranges = balanced_chunks(weight, num_ranks)
-        return cls(num_ranks=max(1, len(ranges)) if g.num_edges else num_ranks,
-                   ranges=tuple(ranges))
-
-    def owner_of(self, edge_id: int) -> int:
-        for rank, (lo, hi) in enumerate(self.ranges):
-            if lo <= edge_id < hi:
-                return rank
-        raise KeyError(f"edge {edge_id} not in any range")
-
-    def edges_of(self, rank: int) -> tuple[int, int]:
-        return self.ranges[rank]
 
     def validate(self, num_edges: int) -> None:
         """Ranges must tile [0, num_edges) exactly, in order."""

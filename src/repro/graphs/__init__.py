@@ -4,7 +4,7 @@ from repro.graphs.analysis import AnalysisCache, analysis_cache, cached_analysis
 from repro.graphs.csr import CSRGraph
 from repro.graphs import generators
 from repro.graphs import datasets
-from repro.graphs.views import induced_subgraph, edge_subgraph, cluster_subgraphs
+from repro.graphs.views import cluster_subgraphs
 from repro.graphs.properties import GraphSummary, summarize, degree_statistics, density
 from repro.graphs.weights import (
     with_uniform_weights,
@@ -23,8 +23,6 @@ __all__ = [
     "CSRGraph",
     "generators",
     "datasets",
-    "induced_subgraph",
-    "edge_subgraph",
     "cluster_subgraphs",
     "GraphSummary",
     "summarize",

@@ -221,8 +221,8 @@ class AnalysisCache:
 
 
 #: The process-wide cache every analysis routes through by default.  Worker
-#: processes each get their own (module state is per process), mirroring
-#: how the sweep runner shards baseline caches.
+#: processes each get their own (module state is per process), just as
+#: each pool worker keeps its own session of baselines.
 _CACHE = AnalysisCache()
 
 

@@ -1,17 +1,16 @@
 """Edge-list I/O.
 
-Two formats:
+One format: plain text ``u v [w]`` per line (the interchange format of
+SNAP/KONECT dumps the paper's pipeline ingests), with ``#`` and ``%``
+comments (KONECT headers use ``%``), blank lines, and CRLF endings
+tolerated.  Binary round-trips go through :mod:`repro.graphs.snapshot`.
 
-- plain text ``u v [w]`` per line (the interchange format of SNAP/KONECT
-  dumps the paper's pipeline ingests), with ``#`` and ``%`` comments
-  (KONECT headers use ``%``), blank lines, and CRLF endings tolerated;
-- compressed ``.npz`` (NumPy) for fast round-trips of generated datasets.
-
-Malformed rows and header fields fail with the offender named
-(``file:line: ...`` plus the row's text and the bad field), never with a
-bare ``int()`` or ``OverflowError`` traceback — real dumps are messy and
-the error must say *which* line to fix.  Endpoints must fit in int64 and
-weights must be finite.  The line-level tolerance, row parsing and
+Malformed rows, header fields and out-of-range endpoints fail with the
+offender named (``file:line: ...`` plus the row's text or endpoint and
+the bad field or bound), never with a bare ``int()`` or ``OverflowError``
+traceback — real dumps are messy and the error must say *which* line to
+fix.  Endpoints must fit in int64 (and lie below a header ``n=`` or
+``num_vertices``) and weights must be finite.  The line-level tolerance, row parsing and
 ``key=<int>`` header tokens live in :func:`iter_edge_rows` /
 :func:`parse_edge_row` / :func:`parse_int_token` so the streaming delta
 reader (:mod:`repro.stream.delta`) ingests the same dialect.
@@ -33,8 +32,6 @@ from repro.graphs.csr import CSRGraph
 __all__ = [
     "write_text",
     "read_text",
-    "write_npz",
-    "read_npz",
     "storage_bytes",
     "iter_edge_rows",
     "parse_edge_row",
@@ -135,7 +132,7 @@ def write_text(g: CSRGraph, path) -> None:
 def read_text(path, *, num_vertices: int | None = None, directed: bool = False) -> CSRGraph:
     """Read a ``u v [w]`` edge list; infers n when not given in a header."""
     path = Path(path)
-    src, dst, w = [], [], []
+    src, dst, w, linenos = [], [], [], []
     weighted = False
     header_n = None
     header_directed = None
@@ -162,6 +159,7 @@ def read_text(path, *, num_vertices: int | None = None, directed: bool = False) 
             u, v, weight = parse_edge_row(line, lineno=lineno, source=str(path))
             src.append(u)
             dst.append(v)
+            linenos.append(lineno)
             if weight is not None:
                 if not weighted and len(src) > 1:
                     raise ValueError(
@@ -180,28 +178,16 @@ def read_text(path, *, num_vertices: int | None = None, directed: bool = False) 
     n = num_vertices if num_vertices is not None else header_n
     if n is None:
         n = (max(max(src), max(dst)) + 1) if src else 0
+    else:
+        bound = f"num_vertices={n}" if num_vertices is not None else f"header n={n}"
+        for lineno, u, v in zip(linenos, src, dst):
+            if u >= n or v >= n:
+                field, value = ("u", u) if u >= n else ("v", v)
+                raise ValueError(
+                    f"{path}:{lineno}: endpoint {field}={value} out of range "
+                    f"for {bound} (ids must be < {n})"
+                )
     return CSRGraph.from_edges(n, src, dst, w if weighted else None, directed=directed)
-
-
-def write_npz(g: CSRGraph, path) -> None:
-    """Binary round-trip format; lossless and fast."""
-    arrays = {
-        "n": np.array([g.n], dtype=np.int64),
-        "src": g.edge_src,
-        "dst": g.edge_dst,
-        "directed": np.array([int(g.directed)], dtype=np.int8),
-    }
-    if g.is_weighted:
-        arrays["weights"] = g.edge_weights
-    np.savez_compressed(Path(path), **arrays)
-
-
-def read_npz(path) -> CSRGraph:
-    with np.load(Path(path)) as z:
-        w = z["weights"] if "weights" in z.files else None
-        return CSRGraph(
-            int(z["n"][0]), z["src"], z["dst"], w, directed=bool(z["directed"][0])
-        )
 
 
 def storage_bytes(g: CSRGraph) -> int:

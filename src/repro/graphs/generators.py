@@ -5,8 +5,8 @@ redistributable here (no network access), so every experiment runs on
 synthetic stand-ins produced by this module.  The generators are chosen to
 span the structural axes the paper's evaluation varies deliberately:
 
-- **degree law** — RMAT/Kronecker and Barabási–Albert for power-law social
-  and web graphs (Figs. 7, 8),
+- **degree law** — RMAT/Kronecker for power-law social and web graphs
+  (Figs. 7, 8),
 - **triangle density** — Holme–Kim power-law-cluster graphs with a tunable
   triangle-formation probability, matching the paper's selection of graphs
   by triangles-per-vertex T/n (1052 / 80 / 20 in Fig. 5),
@@ -34,7 +34,6 @@ from repro.utils.validation import (
 __all__ = [
     "erdos_renyi",
     "rmat",
-    "barabasi_albert",
     "powerlaw_cluster",
     "watts_strogatz",
     "grid_2d",
@@ -145,41 +144,6 @@ def rmat(
     # Permute vertex labels so degree is not correlated with id.
     perm = rng.permutation(n)
     return CSRGraph.from_edges(n, perm[src], perm[dst], directed=directed)
-
-
-def barabasi_albert(n: int, m_attach: int, *, seed=None) -> CSRGraph:
-    """Preferential-attachment power-law graph (Barabási–Albert).
-
-    Uses the repeated-endpoints list so attachment probability is exactly
-    proportional to degree; each new vertex attaches to ``m_attach``
-    distinct existing vertices.
-    """
-    check_positive(n, "n")
-    check_positive(m_attach, "m_attach")
-    if m_attach >= n:
-        raise ValueError(f"m_attach must be < n, got m_attach={m_attach} with n={n}")
-    rng = as_generator(seed)
-    src = np.empty((n - m_attach) * m_attach, dtype=np.int64)
-    dst = np.empty_like(src)
-    # Start from a star on the first m_attach+1 vertices.
-    targets = list(range(m_attach))
-    repeated: list[int] = []
-    k = 0
-    for v in range(m_attach, n):
-        chosen = set()
-        for t in targets:
-            src[k] = v
-            dst[k] = t
-            k += 1
-            chosen.add(t)
-        repeated.extend(targets)
-        repeated.extend([v] * m_attach)
-        # Sample next targets proportionally to degree, distinct.
-        chosen = set()
-        while len(chosen) < m_attach:
-            chosen.add(repeated[rng.integers(0, len(repeated))])
-        targets = list(chosen)
-    return CSRGraph.from_edges(n, src[:k], dst[:k])
 
 
 def powerlaw_cluster(n: int, m_attach: int, triangle_p: float, *, seed=None) -> CSRGraph:

@@ -20,9 +20,8 @@ Two layouts share one loader:
   ``.npy`` sidecars plus a ``header.json`` manifest.  Each sidecar is a
   plain flat file, so ``load_snapshot(path, mmap=True)`` maps the arrays
   read-only straight off disk — pooled grid workers share one page-cache
-  copy, and graphs larger than RAM stream pages on demand (the
-  out-of-core shard scheduler in :mod:`repro.runner.shards` rides this).
-  The artifact store writes this layout.
+  copy, and graphs larger than RAM stream pages on demand.  The artifact
+  store writes this layout.
 
 Both layouts are written atomically with the shared fileio discipline
 (temp file + fsync + ``os.replace``).  For v2 the sidecars land first and

@@ -1,7 +1,7 @@
 """Subgraph extraction.
 
 Subgraph kernels (§4.5) receive induced subgraphs derived from a
-vertex-to-cluster mapping; these helpers materialize such views.
+vertex-to-cluster mapping; this helper groups the vertices of each one.
 """
 
 from __future__ import annotations
@@ -10,42 +10,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["induced_subgraph", "edge_subgraph", "cluster_subgraphs"]
-
-
-def induced_subgraph(
-    g: CSRGraph, vertices, *, relabel: bool = True
-) -> tuple[CSRGraph, np.ndarray]:
-    """Subgraph induced by ``vertices``.
-
-    Returns ``(subgraph, original_ids)`` where ``original_ids[i]`` is the
-    original vertex id of subgraph vertex ``i`` (identity if
-    ``relabel=False``, in which case non-members become isolated).
-    """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    member = np.zeros(g.n, dtype=bool)
-    member[vertices] = True
-    keep = member[g.edge_src] & member[g.edge_dst]
-    w = None if g.edge_weights is None else g.edge_weights[keep]
-    if not relabel:
-        sub = CSRGraph(g.n, g.edge_src[keep], g.edge_dst[keep], w, directed=g.directed)
-        return sub, np.arange(g.n, dtype=np.int64)
-    new_id = np.cumsum(member) - 1
-    sub = CSRGraph(
-        len(vertices),
-        new_id[g.edge_src[keep]],
-        new_id[g.edge_dst[keep]],
-        w,
-        directed=g.directed,
-    )
-    return sub, vertices
-
-
-def edge_subgraph(g: CSRGraph, edge_ids) -> CSRGraph:
-    """Subgraph keeping only the given canonical edge ids (all vertices)."""
-    mask = np.zeros(g.num_edges, dtype=bool)
-    mask[np.asarray(edge_ids, dtype=np.int64)] = True
-    return g.keep_edges(mask)
+__all__ = ["cluster_subgraphs"]
 
 
 def cluster_subgraphs(g: CSRGraph, mapping: np.ndarray):

@@ -17,7 +17,7 @@ into the store keyed by fingerprint, or a temporary directory removed
 when the grid ends) and every worker memory-maps that snapshot read-only
 in its initializer: near zero load time, one page-cache copy of the CSR
 arrays no matter the pool width, and graphs bigger than RAM page in on
-demand (see also :mod:`repro.runner.shards`).  Pool rebuilds after a
+demand.  Pool rebuilds after a
 dead worker map the same snapshot again.
 Every worker keeps its own
 :class:`~repro.analytics.session.Session`, so original-graph baselines
@@ -99,8 +99,8 @@ __all__ = [
 ]
 
 #: The additive counters of a perf record, each mapped to its registry
-#: metric name (``None``: no metric).  Grid, job, sweep and shard-sweep
-#: records all carry them; a record's counters are the sums of its parts'.
+#: metric name (``None``: no metric).  Grid, job and sweep records all
+#: carry them; a record's counters are the sums of its parts'.
 PERF_COUNTERS = {
     "cells_scheduled": "repro.runner.cells_scheduled",
     "cache_hits": "repro.runner.cache_hits",
@@ -140,7 +140,7 @@ def merge_perf(total: dict, part: dict, **tags) -> dict:
     """Fold the perf record ``part`` into ``total`` (a :func:`new_perf`).
 
     Counters sum; manifest entries are appended with ``tags`` (say
-    ``graph=name`` or ``shard=i``) prefixed so merged entries stay
+    ``graph=name``) prefixed so merged entries stay
     attributable; worker and analysis-cache stats merge.  Returns
     ``total``.
     """
@@ -726,7 +726,7 @@ def _write_snapshot(graph, store, fingerprint, tmpdir, retry: RetryPolicy, rng, 
     """Write the exploded snapshot pool workers map; returns its path.
 
     With a store it lands there keyed by ``fingerprint`` (reused when
-    intact, so warm replays and shard cutting share it), otherwise under
+    intact, so warm replays share it), otherwise under
     ``tmpdir``.  It is the one write the grid cannot proceed without, so
     transient failures retry — a torn snapshot is rewritten, since
     :meth:`~repro.runner.store.ArtifactStore.add_graph` reuses only

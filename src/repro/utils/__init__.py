@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG plumbing, timing, chunking, validation."""
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.chunking import chunk_ranges, balanced_chunks
+from repro.utils.chunking import chunk_ranges
 from repro.utils.validation import (
     check_probability,
     check_positive,
@@ -13,7 +13,6 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "chunk_ranges",
-    "balanced_chunks",
     "check_probability",
     "check_positive",
     "check_nonnegative",

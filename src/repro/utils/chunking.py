@@ -10,8 +10,6 @@ RNG stream.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def chunk_ranges(total: int, num_chunks: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into at most ``num_chunks`` contiguous ranges.
@@ -36,33 +34,3 @@ def chunk_ranges(total: int, num_chunks: int) -> list[tuple[int, int]]:
         out.append((start, start + size))
         start += size
     return out
-
-
-def balanced_chunks(weights: np.ndarray, num_chunks: int) -> list[tuple[int, int]]:
-    """Split indices into contiguous ranges with approximately equal weight.
-
-    Used to balance edge work across chunks when vertex degrees are skewed
-    (power-law graphs put most of the edges on few vertices).  Greedy prefix
-    splitting against the ideal per-chunk weight.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if num_chunks <= 0:
-        raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
-    n = len(weights)
-    if n == 0:
-        return []
-    cumulative = np.cumsum(weights)
-    total = cumulative[-1]
-    if total <= 0:
-        return chunk_ranges(n, num_chunks)
-    boundaries = [0]
-    for i in range(1, num_chunks):
-        target = total * i / num_chunks
-        idx = int(np.searchsorted(cumulative, target))
-        boundaries.append(max(boundaries[-1], min(idx, n)))
-    boundaries.append(n)
-    return [
-        (boundaries[i], boundaries[i + 1])
-        for i in range(len(boundaries) - 1)
-        if boundaries[i + 1] > boundaries[i]
-    ]

@@ -8,8 +8,6 @@ from repro.algorithms.betweenness import betweenness_centrality
 from repro.algorithms import triangles
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.triangles import (
-    approx_count_doulion,
-    approx_count_wedge_sampling,
     count_triangles,
     edge_ids_of_pairs,
     edge_triangle_counts,
@@ -104,20 +102,6 @@ class TestTriangles:
     def test_triangle_free(self, grid10):
         assert count_triangles(grid10) == 0
         assert list_triangles(grid10).count == 0
-
-    def test_doulion_unbiased(self, plc300):
-        t = count_triangles(plc300)
-        estimates = [approx_count_doulion(plc300, 0.7, seed=s) for s in range(10)]
-        assert np.mean(estimates) == pytest.approx(t, rel=0.25)
-
-    def test_doulion_edge_cases(self, plc300):
-        assert approx_count_doulion(plc300, 0.0) == 0.0
-        assert approx_count_doulion(plc300, 1.0, seed=0) == count_triangles(plc300)
-
-    def test_wedge_sampling(self, plc300):
-        t = count_triangles(plc300)
-        est = approx_count_wedge_sampling(plc300, samples=4000, seed=1)
-        assert est == pytest.approx(t, rel=0.3)
 
     def test_edge_ids_of_pairs_errors(self, tiny):
         with pytest.raises(KeyError):

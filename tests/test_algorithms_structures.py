@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.arboricity import estimate_arboricity
 from repro.algorithms.coloring import coloring_number, greedy_coloring
-from repro.algorithms.independent_set import greedy_mis, luby_mis
+from repro.algorithms.independent_set import greedy_mis
 from repro.algorithms.kcore import core_numbers
 from repro.algorithms.matching import greedy_matching, maximum_matching_size
 from repro.algorithms.mst import boruvka, kruskal, minimum_spanning_forest
@@ -224,11 +224,6 @@ class TestIndependentSet:
         for v in range(er300.n):
             if v not in members:
                 assert any(int(u) in members for u in er300.neighbors(v))
-
-    def test_luby_independent(self, er300):
-        iset = luby_mis(er300, seed=0)
-        self._check_is(er300, iset)
-        assert len(iset) > 0
 
     def test_star_mis_is_leaves(self, star20):
         assert len(greedy_mis(star20)) == 19

@@ -3,12 +3,32 @@
 import numpy as np
 import pytest
 
-from repro.compress.spectral import SpectralSparsifier
 from repro.compress.uniform import RandomUniformSampling
-from repro.distributed.engine import distributed_spectral, distributed_uniform_sampling
+from repro.distributed.engine import distributed_uniform_sampling
 from repro.distributed.partition import EdgePartition
 from repro.distributed.rma import RMAError, Window
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
+from repro.graphs.weights import with_exponential_weights
+
+
+def _named_graph(name: str, er300: CSRGraph) -> CSRGraph:
+    return {
+        "er300": er300,
+        "weighted": with_exponential_weights(er300, seed=5),
+        "rmat_directed": gen.rmat(9, 6, seed=0, directed=True),
+        "path": gen.path_graph(7),
+    }[name]
+
+
+def _assert_same_graph(a: CSRGraph, b: CSRGraph) -> None:
+    assert a.n == b.n and a.directed == b.directed
+    assert np.array_equal(a.edge_src, b.edge_src)
+    assert np.array_equal(a.edge_dst, b.edge_dst)
+    if b.is_weighted:
+        assert np.array_equal(a.edge_weights, b.edge_weights)
+    else:
+        assert a.edge_weights is None
 
 
 class TestPartition:
@@ -16,24 +36,6 @@ class TestPartition:
         part = EdgePartition.contiguous(er300, 7)
         part.validate(er300.num_edges)
         assert sum(hi - lo for lo, hi in part.ranges) == er300.num_edges
-
-    def test_balanced_tiles_exactly(self):
-        g = gen.rmat(9, 8, seed=0)
-        part = EdgePartition.balanced(g, 5)
-        part.validate(g.num_edges)
-        # Balanced partitions should not be wildly skewed in weight.
-        deg = g.degrees
-        w = deg[g.edge_src] + deg[g.edge_dst]
-        loads = [w[lo:hi].sum() for lo, hi in part.ranges]
-        assert max(loads) < 3 * min(loads)
-
-    def test_owner_of(self, er300):
-        part = EdgePartition.contiguous(er300, 4)
-        for rank, (lo, hi) in enumerate(part.ranges):
-            assert part.owner_of(lo) == rank
-            assert part.owner_of(hi - 1) == rank
-        with pytest.raises(KeyError):
-            part.owner_of(er300.num_edges)
 
     def test_more_ranks_than_edges(self):
         g = gen.path_graph(3)
@@ -43,6 +45,28 @@ class TestPartition:
     def test_validation(self, er300):
         with pytest.raises(ValueError):
             EdgePartition.contiguous(er300, 0)
+
+    @pytest.mark.parametrize("num_ranks", [1, 2, 7, 64])
+    def test_contiguous_sizes_differ_by_at_most_one(self, er300, num_ranks):
+        part = EdgePartition.contiguous(er300, num_ranks)
+        sizes = [hi - lo for lo, hi in part.ranges]
+        assert part.num_ranks == len(part.ranges) == num_ranks
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ((0, 4), (5, 10)),  # gap
+            ((0, 6), (4, 10)),  # overlap
+            ((0, 4), (4, 9)),  # short cover
+            ((4, 10), (0, 4)),  # out of order
+        ],
+        ids=["gap", "overlap", "short", "unordered"],
+    )
+    def test_validate_rejects_bad_tilings(self, ranges):
+        part = EdgePartition(num_ranks=len(ranges), ranges=ranges)
+        with pytest.raises(AssertionError):
+            part.validate(10)
 
 
 class TestWindow:
@@ -174,16 +198,60 @@ class TestDistributedEngine:
         ).result.graph
         assert np.array_equal(a.edge_src, b.edge_src)
 
-    def test_matches_single_node_scheme(self, er300):
-        dist = distributed_uniform_sampling(er300, 0.6, num_ranks=5, seed=9).result.graph
-        single = RandomUniformSampling(0.6).compress(er300, seed=9).graph
+    @pytest.mark.parametrize("graph", ["er300", "weighted", "rmat_directed"])
+    def test_matches_single_node_scheme(self, er300, graph):
+        g = {
+            "er300": er300,
+            "weighted": with_exponential_weights(er300, seed=5),
+            "rmat_directed": gen.rmat(9, 6, seed=0, directed=True),
+        }[graph]
+        dist = distributed_uniform_sampling(g, 0.6, num_ranks=5, seed=9).result.graph
+        single = RandomUniformSampling(0.6).compress(g, seed=9).graph
+        assert dist.directed == single.directed == g.directed
         assert np.array_equal(dist.edge_src, single.edge_src)
+        assert np.array_equal(dist.edge_dst, single.edge_dst)
+        if g.is_weighted:
+            assert np.array_equal(dist.edge_weights, single.edge_weights)
+        else:
+            assert dist.edge_weights is None and single.edge_weights is None
 
-    def test_spectral_matches_single_node(self, plc300):
-        dist = distributed_spectral(plc300, 0.5, num_ranks=3, seed=4).result.graph
-        single = SpectralSparsifier(0.5).compress(plc300, seed=4).graph
-        assert np.array_equal(dist.edge_src, single.edge_src)
-        assert np.allclose(dist.edge_weights, single.edge_weights)
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    @pytest.mark.parametrize("graph", ["er300", "weighted", "rmat_directed", "path"])
+    def test_every_rank_count_matches_single_node(self, er300, graph, backend):
+        g = _named_graph(graph, er300)
+        single = RandomUniformSampling(0.45).compress(g, seed=11).graph
+        for ranks in (1, 3, 8):
+            dist = distributed_uniform_sampling(
+                g, 0.45, num_ranks=ranks, seed=11, backend=backend
+            ).result.graph
+            _assert_same_graph(dist, single)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_probability_endpoints(self, er300, p):
+        res = distributed_uniform_sampling(er300, p, num_ranks=3, seed=4)
+        assert res.result.graph.num_edges == (er300.num_edges if p else 0)
+        _assert_same_graph(
+            res.result.graph, RandomUniformSampling(p).compress(er300, seed=4).graph
+        )
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_invalid_probability_rejected(self, er300, p):
+        with pytest.raises(ValueError, match="p must be in"):
+            distributed_uniform_sampling(er300, p)
+
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    def test_edgeless_graph(self, backend):
+        g = CSRGraph.empty(5)
+        res = distributed_uniform_sampling(g, 0.5, num_ranks=3, seed=1, backend=backend)
+        assert res.result.graph.n == 5 and res.result.graph.num_edges == 0
+        assert res.edges_per_rank == () and res.deleted_per_rank == ()
+
+    def test_result_records_scheme_and_params(self, er300):
+        res = distributed_uniform_sampling(er300, 0.3, num_ranks=6, seed=0)
+        assert res.result.scheme == "distributed_uniform"
+        assert res.result.params == {"p": 0.3, "num_ranks": 6}
+        assert res.result.original is er300
+        assert res.num_ranks == len(res.edges_per_rank) == 6
 
     def test_per_rank_accounting(self, er300):
         res = distributed_uniform_sampling(er300, 0.5, num_ranks=4, seed=1)

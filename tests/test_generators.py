@@ -58,17 +58,6 @@ class TestRMAT:
 
 
 class TestPreferentialAttachment:
-    def test_ba_edge_count(self):
-        g = gen.barabasi_albert(200, 3, seed=4)
-        assert g.n == 200
-        # (n - m_attach) * m_attach edges added; dedup can only reduce.
-        assert g.num_edges <= (200 - 3) * 3
-        assert g.num_edges > 0.9 * (200 - 3) * 3
-
-    def test_ba_validation(self):
-        with pytest.raises(ValueError):
-            gen.barabasi_albert(5, 5)
-
     def test_powerlaw_cluster_triangles(self):
         from repro.algorithms.triangles import count_triangles
 
@@ -192,12 +181,6 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="edge_factor must be an integer"):
             gen.rmat(4, 2.5)
 
-    def test_barabasi_albert_names_m_attach(self):
-        with pytest.raises(ValueError, match="m_attach must be < n, got m_attach=5 with n=5"):
-            gen.barabasi_albert(5, 5)
-        with pytest.raises(ValueError, match="m_attach must be > 0"):
-            gen.barabasi_albert(5, 0)
-
     def test_powerlaw_cluster_names_arguments(self):
         with pytest.raises(ValueError, match="m_attach must be < n, got m_attach=9 with n=8"):
             gen.powerlaw_cluster(8, 9, 0.5)
@@ -262,7 +245,6 @@ class TestDeterminismProperties:
         "erdos_renyi_p": lambda seed: gen.erdos_renyi(60, p=0.1, seed=seed),
         "rmat": lambda seed: gen.rmat(5, 4, seed=seed),
         "rmat_directed": lambda seed: gen.rmat(5, 4, seed=seed, directed=True),
-        "barabasi_albert": lambda seed: gen.barabasi_albert(60, 3, seed=seed),
         "powerlaw_cluster": lambda seed: gen.powerlaw_cluster(60, 3, 0.5, seed=seed),
         "watts_strogatz": lambda seed: gen.watts_strogatz(60, 4, 0.3, seed=seed),
         "road_network": lambda seed: gen.road_network(6, 7, seed=seed),

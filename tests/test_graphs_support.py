@@ -8,14 +8,12 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import (
     iter_edge_rows,
     parse_edge_row,
-    read_npz,
     read_text,
     storage_bytes,
-    write_npz,
     write_text,
 )
 from repro.graphs.properties import degree_statistics, density, summarize
-from repro.graphs.views import cluster_subgraphs, edge_subgraph, induced_subgraph
+from repro.graphs.views import cluster_subgraphs
 from repro.graphs.weights import (
     with_exponential_weights,
     with_uniform_weights,
@@ -74,22 +72,6 @@ class TestDatasets:
 
 
 class TestViews:
-    def test_induced_subgraph_relabel(self, tiny):
-        sub, ids = induced_subgraph(tiny, [0, 1, 2])
-        assert sub.n == 3
-        assert sub.num_edges == 3  # the triangle
-        assert ids.tolist() == [0, 1, 2]
-
-    def test_induced_subgraph_keep_ids(self, tiny):
-        sub, ids = induced_subgraph(tiny, [0, 1, 2], relabel=False)
-        assert sub.n == tiny.n
-        assert sub.num_edges == 3
-
-    def test_edge_subgraph(self, tiny):
-        sub = edge_subgraph(tiny, [0, 1])
-        assert sub.num_edges == 2
-        assert sub.n == tiny.n
-
     def test_cluster_subgraphs_partition(self, er300):
         mapping = np.arange(er300.n) % 5
         seen = []
@@ -125,14 +107,6 @@ class TestEdgeList:
         g = read_text(path)
         assert g.n == 4
         assert g.num_edges == 2
-
-    def test_npz_roundtrip(self, tmp_path):
-        g = gen.rmat(8, 4, seed=1, directed=True)
-        path = tmp_path / "g.npz"
-        write_npz(g, path)
-        back = read_npz(path)
-        assert back.directed
-        assert np.array_equal(back.edge_src, g.edge_src)
 
     def test_storage_bytes_scales_with_edges(self, er300):
         half = er300.keep_edges(np.arange(er300.num_edges) < er300.num_edges // 2)
@@ -188,6 +162,56 @@ class TestEdgeListRobustness:
         loses.write_text("0 1 2.5\n1 2\n")
         with pytest.raises(ValueError, match=r"loses.txt:2: mixed"):
             read_text(loses)
+
+    def test_endpoint_beyond_header_n_named(self, tmp_path):
+        path = tmp_path / "small.txt"
+        path.write_text("# n=3\n0 1\n\n0 5\n")
+        with pytest.raises(
+            ValueError, match=r"small.txt:4: endpoint v=5 out of range for header n=3"
+        ):
+            read_text(path)
+
+    def test_endpoint_beyond_num_vertices_named(self, tmp_path):
+        path = tmp_path / "under.txt"
+        path.write_text("0 1\n2 1\n")
+        with pytest.raises(
+            ValueError, match=r"under.txt:2: endpoint u=2 out of range for num_vertices=2"
+        ):
+            read_text(path, num_vertices=2)
+
+    def test_endpoint_equal_to_bound_rejected(self, tmp_path):
+        edge = tmp_path / "edge.txt"
+        edge.write_text("# n=4\n0 3\n")
+        assert read_text(edge).n == 4
+        over = tmp_path / "over.txt"
+        over.write_text("# n=4\n0 3\n4 0\n")
+        with pytest.raises(
+            ValueError, match=r"over.txt:3: endpoint u=4 out of range for header n=4"
+        ):
+            read_text(over)
+
+    def test_weighted_row_out_of_range_named(self, tmp_path):
+        path = tmp_path / "wtd.txt"
+        path.write_text("# n=3\n0 1 0.5\n1 9 2.0\n")
+        with pytest.raises(
+            ValueError, match=r"wtd.txt:3: endpoint v=9 out of range for header n=3"
+        ):
+            read_text(path)
+
+    def test_num_vertices_overrides_header_n(self, tmp_path):
+        path = tmp_path / "grow.txt"
+        path.write_text("# n=3\n0 5\n")
+        g = read_text(path, num_vertices=6)
+        assert g.n == 6 and g.num_edges == 1
+        with pytest.raises(ValueError, match=r"grow.txt:2: .*num_vertices=5"):
+            read_text(path, num_vertices=5)
+
+    def test_header_n_keeps_isolated_vertices(self, tmp_path):
+        path = tmp_path / "iso.txt"
+        path.write_text("# n=10 directed=1\n0 1\n1 2\n")
+        g = read_text(path)
+        assert g.n == 10 and g.directed and g.num_edges == 2
+        assert g.degrees[3:].tolist() == [0] * 7
 
     def test_iter_edge_rows_linenos_point_into_the_file(self):
         rows = list(

@@ -188,8 +188,8 @@ class TestDistributions:
         sub = RandomUniformSampling(0.3).compress(plc300, seed=0).graph
         assert degree_cdf_distance(plc300, sub) > 0.05
 
-    def test_power_law_fit_on_ba(self):
-        g = gen.barabasi_albert(2000, 3, seed=0)
+    def test_power_law_fit_on_powerlaw_cluster(self):
+        g = gen.powerlaw_cluster(2000, 3, 0.1, seed=0)
         fit = fit_power_law(g)
         assert 1.0 < fit.slope < 4.5
         assert fit.residual > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.chunking import balanced_chunks, chunk_ranges
+from repro.utils.chunking import chunk_ranges
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_in_range,
@@ -56,21 +56,18 @@ class TestChunking:
         with pytest.raises(ValueError):
             chunk_ranges(5, 0)
 
-    def test_balanced_chunks_equalize_weight(self):
-        w = np.array([100, 1, 1, 1, 1, 1, 1, 100])
-        ranges = balanced_chunks(w, 2)
-        loads = [w[lo:hi].sum() for lo, hi in ranges]
-        assert abs(loads[0] - loads[1]) <= 100
-
-    def test_balanced_chunks_cover(self):
-        w = np.ones(17)
-        ranges = balanced_chunks(w, 4)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 17
-        assert sum(hi - lo for lo, hi in ranges) == 17
-
-    def test_balanced_zero_weights(self):
-        ranges = balanced_chunks(np.zeros(6), 2)
-        assert sum(hi - lo for lo, hi in ranges) == 6
+    @pytest.mark.parametrize(
+        "total,num_chunks", [(1, 1), (7, 1), (7, 7), (100, 3), (101, 10), (5, 1000)]
+    )
+    def test_chunk_ranges_tile_evenly(self, total, num_chunks):
+        ranges = chunk_ranges(total, num_chunks)
+        assert len(ranges) == min(total, num_chunks)
+        assert ranges[0][0] == 0 and ranges[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        sizes = [hi - lo for lo, hi in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        # The larger chunks come first.
+        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestStopwatch:
