@@ -13,8 +13,9 @@ paper experiments end to end):
 - **chains** — multi-stage ``|`` pipelines whose per-stage cost is now
   O(m), across graph sizes;
 - **algorithms** — the grid hot spots on weighted RMAT graphs: the
-  Kruskal reference against the vectorized Borůvka MST, the wedge-join
-  triangle count against the row-blocked sparse ``(L @ L) ∘ L`` count,
+  Kruskal reference against the vectorized Borůvka MST, the listing's
+  row-block table join as a triangle count against the row-blocked
+  sparse ``(L @ L) ∘ L`` count,
   and the heap-Dijkstra LDD (:func:`repro.verify.oracles.oracle_ldd`)
   against the numpy frontier rounds the spanner runs, with outputs
   asserted equal.
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.algorithms.mst import boruvka, kruskal
 from repro.algorithms.triangles import (
-    _iter_wedge_blocks,
+    _closed_wedges,
     _oriented_arcs,
     _sparse_triangle_count,
 )
@@ -216,10 +217,10 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
         assert np.array_equal(ref.edge_ids, fast.edge_ids)
         assert ref.total_weight == fast.total_weight
         assert ref.num_trees == fast.num_trees
-        _oriented_arcs(g)  # both counts share the cached orientation
+        optr, onbr, arc_u, _ = _oriented_arcs(g)  # shared by both counts
 
         def join_count():
-            return sum(len(b[0]) for b in _iter_wedge_blocks(g))
+            return sum(len(b[0]) for b in _closed_wedges(g.n, optr, onbr, arc_u))
 
         triangles = join_count()
         assert _sparse_triangle_count(g) == triangles

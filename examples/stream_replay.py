@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Streaming replay: edge deltas, CSR generations, incremental repair.
+"""Streaming replay: edge deltas, CSR generations, per-generation recompression.
 
 The evolving-graph tour of :mod:`repro.stream`:
 
@@ -8,9 +8,8 @@ The evolving-graph tour of :mod:`repro.stream`:
    line-oriented stream format, and read them back — the on-disk replay
    loop a subscription service would run,
 3. advance a :class:`GraphStream` generation by generation while two
-   maintainers keep compressed outputs in step: the §4.5.3 spanner is
-   recompressed per generation (its LDD runs as numpy frontier rounds),
-   EO triangle reduction is repaired in the delta-touched neighborhood,
+   maintainers keep compressed outputs in step by recompressing each
+   generation: the §4.5.3 spanner and EO triangle reduction,
 4. cross-check both against a from-scratch batch recompress of the
    final head, and print the fingerprint-linked generation ledger.
 
@@ -66,7 +65,7 @@ def main() -> None:
     assert [d.delta_id for d in replayed] == [d.delta_id for d in deltas]
     print(f"stream file round-trips: {len(replayed)} batches, ids preserved\n")
 
-    # Replay against fresh maintainers, one repair per generation.
+    # Replay against fresh maintainers, one recompress per generation.
     stream = GraphStream(base)
     maintainers = {spec: maintainer_for(spec, seed=0) for spec in SPECS}
     for m in maintainers.values():
@@ -82,29 +81,18 @@ def main() -> None:
             f"(+{delta.num_inserts} -{delta.num_deletes})   " + "   ".join(cells)
         )
 
-    # The spanner recompressed every generation, so it *is* the batch
-    # spanner of the final head; EO-TR was only ever repaired.
-    spanner = maintainers["spanner(k=4)"]
-    batch = build_scheme("spanner(k=4)").compress(stream.head, seed=0).graph
-    assert np.array_equal(spanner.compressed.edge_src, batch.edge_src)
-    assert np.array_equal(spanner.compressed.edge_dst, batch.edge_dst)
-    tr_stats = maintainers["EO-0.8-1-TR"].stats
-    assert tr_stats == {"repairs": BATCHES, "full_rebuilds": 0}, tr_stats
+    # Each maintainer recompressed every generation, so it *is* the batch
+    # scheme of the final head.
     print()
     for spec, m in maintainers.items():
-        stats = m.stats
-        print(f"{spec}: {stats['repairs']} repairs, {stats['full_rebuilds']} rebuilds")
-
-    # The repaired EO-TR output is contract-equal, not bit-equal, to a
-    # from-scratch recompress (the lottery history differs): compare the
-    # shapes.
-    full = build_scheme("EO-0.8-1-TR").compress(stream.head, seed=0).graph
-    kept = maintainers["EO-0.8-1-TR"].compressed
-    print(
-        f"spanner(k=4) on final head: maintained = batch ({batch.num_edges} edges)\n"
-        f"EO-0.8-1-TR on final head: incremental kept {kept.num_edges} edges, "
-        f"batch recompress kept {full.num_edges}"
-    )
+        batch = build_scheme(spec).compress(stream.head, seed=0).graph
+        assert np.array_equal(m.compressed.edge_src, batch.edge_src), spec
+        assert np.array_equal(m.compressed.edge_dst, batch.edge_dst), spec
+        assert m.stats == {"repairs": 0, "full_rebuilds": BATCHES}, m.stats
+        print(
+            f"{spec} on final head: maintained = batch ({batch.num_edges} edges), "
+            f"{m.stats['full_rebuilds']} rebuilds"
+        )
 
     print("\ngeneration ledger (fingerprint-linked):")
     for row in stream.ledger():

@@ -6,11 +6,14 @@ compression", so exact listing is on the compression hot path.  We use the
 lower-ranked to the higher-ranked endpoint (rank = (degree, id)), then for
 every oriented edge (u, v) intersect the out-neighborhoods of u and v.
 Work is O(m^{3/2}) — exactly the complexity the paper quotes for TR — and
-each triangle is emitted exactly once.  Counting alone needs no listing:
-with ``L`` the oriented adjacency, the count is ``sum((L @ L) ∘ L)``,
-taken as row-blocked scipy sparse products.  Both the join and the count
-work in blocks cut by cumulative wedge count, so peak memory is bounded
-by wedges, not arcs.
+each triangle is emitted exactly once.  Listing tests closure against a
+row-block table: for a block of heads u, the cell (u, w) holds the index
+of arc u→w, so a wedge u→v→w is closed where its cell is set, and all
+three edge ids are read off the oriented arcs, which carry them.
+Counting alone needs no listing: with ``L`` the oriented adjacency, the
+count is ``sum((L @ L) ∘ L)``, taken as row-blocked scipy sparse
+products.  Both the join and the count work in blocks cut by cumulative
+wedge count, so peak memory is bounded by wedges, not arcs.
 
 Per-vertex counts back Table 6 (average triangles per vertex) and the
 reordered-pairs metric for TC.
@@ -18,8 +21,8 @@ reordered-pairs metric for TC.
 Because triangle structure is consumed repeatedly on the *same* graph
 (TR across seeds, the ``tc`` baseline, ``summarize``, Table 3 bound
 checks), the expensive derived structures here — the full triangle list,
-the degree-oriented arc arrays with their sorted membership keys, the
-edge-id lookup index, and per-edge triangle counts — are memoized through
+the degree-oriented arc arrays with their edge ids, the edge-id lookup
+index, and per-edge triangle counts — are memoized through
 the graph-keyed :mod:`repro.graphs.analysis` cache.  The cache is keyed
 by graph identity and graphs are immutable, so a compressed graph never
 sees its original's triangles; it recomputes (and caches) its own.
@@ -69,39 +72,40 @@ class TriangleList:
 def _oriented_adjacency(g: CSRGraph):
     """Out-neighborhoods under the (degree, id) total order, CSR-shaped.
 
-    Returns ``(optr, onbr, rank)``: for each vertex the higher-ranked
+    Returns ``(optr, onbr, oeid)``: for each vertex the higher-ranked
     neighbors (the "forward" orientation that makes every triangle appear
-    as exactly one directed wedge u→v→w closed by arc u→w).
+    as exactly one directed wedge u→v→w closed by arc u→w), in rank
+    order, and the canonical edge id of every oriented arc, carried over
+    from ``g.arc_edge_ids``.
     """
     deg = g.degrees
     # rank key: degree-major, id-minor; encoded so np comparisons work.
-    rank = np.argsort(np.argsort(deg * np.int64(g.n) + np.arange(g.n), kind="stable"))
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.argsort(deg * np.int64(g.n) + np.arange(g.n))] = np.arange(g.n)
     heads = g.arc_heads
     tails = g.indices
     forward = rank[tails] > rank[heads]
-    fh, ft = heads[forward], tails[forward]
-    order = np.lexsort((rank[ft], fh))
-    fh, ft = fh[order], ft[order]
+    fh, ft, fe = heads[forward], tails[forward], g.arc_edge_ids[forward]
+    # Keys are unique, so any sort gives the (head, rank of tail) order.
+    order = np.argsort(fh * np.int64(g.n) + rank[ft])
     counts = np.bincount(fh, minlength=g.n)
     optr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(counts, out=optr[1:])
-    return optr, ft, rank
+    return optr, ft[order], fe[order]
 
 
 @cached_analysis("oriented_arcs")
 def _oriented_arcs(g: CSRGraph):
-    """The degree-oriented arc arrays plus their sorted membership keys.
+    """The degree-oriented arc arrays.
 
-    ``(optr, onbr, arc_u, sorted_keys)``: the CSR-shaped forward
-    orientation of :func:`_oriented_adjacency`, the head of every
-    oriented arc, and the sorted ``u·n+v`` key array used for
-    closed-wedge membership tests.  Cached per graph — exact triangle
+    ``(optr, onbr, arc_u, arc_eid)``: the CSR-shaped forward orientation
+    of :func:`_oriented_adjacency`, the head of every oriented arc, and
+    every arc's canonical edge id.  Cached per graph — exact triangle
     listing and count-only passes share one orientation build.
     """
-    optr, onbr, _ = _oriented_adjacency(g)
+    optr, onbr, arc_eid = _oriented_adjacency(g)
     arc_u = np.repeat(np.arange(g.n), np.diff(optr))
-    sorted_keys = np.sort(arc_u * np.int64(g.n) + onbr)
-    return _frozen(optr), _frozen(onbr), _frozen(arc_u), _frozen(sorted_keys)
+    return _frozen(optr), _frozen(onbr), _frozen(arc_u), _frozen(arc_eid)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -119,6 +123,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 #: Wedges per block: bounds the peak wedge-buffer memory of the listing
 #: join and the sparse count's row-block products.
 _WEDGE_BLOCK = 1 << 21
+
+#: Cells of the listing's row-block closure table (16 MiB of int32): a
+#: block holds ``max(1, _TABLE_CELLS // n)`` head rows of ``n`` cells.
+_TABLE_CELLS = 1 << 22
 
 
 def _wedge_ranges(cum: np.ndarray) -> list[tuple[int, int]]:
@@ -146,37 +154,44 @@ def _arc_wedges(optr: np.ndarray, onbr: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _iter_wedge_blocks(g: CSRGraph):
-    """Yield (us, vs, ws) triangle blocks via a vectorized wedge join.
+def _closed_wedges(n: int, optr, onbr, arc_u):
+    """Yield ``(uv, vw, uw)`` oriented-arc indices of every closed wedge.
 
-    For every oriented arc (u, v), all candidate wedges (u, v, w ∈ N⁺(v))
-    are materialized with one scatter-gather, then closed-wedge membership
-    (u, w) ∈ E⁺ is tested with one sorted-key search.  No per-edge Python
-    loop; arcs are processed in blocks of bounded wedge count so memory
-    stays bounded.
+    Heads are taken in row blocks of ``max(1, _TABLE_CELLS // n)``
+    vertices.  For a block starting at row ``r0``, table cell
+    ``(u - r0)·n + w`` holds the index + 1 of arc (u, w), so a wedge
+    u→v→w (arc ``uv``, then arc ``vw`` of N⁺(v)) is closed exactly where
+    its cell is non-zero, and that cell names the closing arc.  Wedges
+    run in arc order within sub-blocks cut by :data:`_WEDGE_BLOCK`, so
+    triangles come out ordered by (u, rank v, rank w).  Only the cells a
+    block wrote are cleared after it: O(arcs) resets, not O(n²).
     """
-    optr, onbr, arc_u, sorted_keys = _oriented_arcs(g)
-    arc_v = onbr
-
-    for lo, hi in _wedge_ranges(_arc_wedges(optr, onbr)):
-        u_blk, v_blk = arc_u[lo:hi], arc_v[lo:hi]
-        counts = optr[v_blk + 1] - optr[v_blk]
-        total = int(counts.sum())
-        if total == 0:
+    cum = _arc_wedges(optr, onbr)
+    rows = max(1, _TABLE_CELLS // n)
+    dtype = np.int32 if len(onbr) < np.iinfo(np.int32).max else np.int64
+    table = np.zeros(min(rows, n) * n, dtype=dtype)
+    for r0 in range(0, n, rows):
+        a0, a1 = int(optr[r0]), int(optr[min(r0 + rows, n)])
+        if cum[a1] == cum[a0]:
             continue
-        rep_starts = np.repeat(optr[v_blk], counts)
-        rep_bases = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = rep_starts + (np.arange(total) - rep_bases)
-        ws = onbr[flat]
-        us = np.repeat(u_blk, counts)
-        vs = np.repeat(v_blk, counts)
-        want = us * np.int64(g.n) + ws
-        pos = np.searchsorted(sorted_keys, want)
-        closed = (pos < len(sorted_keys)) & (
-            sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == want
-        )
-        if closed.any():
-            yield us[closed], vs[closed], ws[closed]
+        row_base = (arc_u[a0:a1] - r0) * n  # table offset of each arc's head
+        cells = row_base + onbr[a0:a1]
+        table[cells] = np.arange(a0 + 1, a1 + 1, dtype=dtype)
+        for lo, hi in _wedge_ranges(cum[a0 : a1 + 1]):
+            lo, hi = lo + a0, hi + a0
+            counts = np.diff(cum[lo : hi + 1])
+            # Arc vw walks N⁺(v) from optr[v]: offset each wedge by its
+            # arc's first wedge, so the whole sub-block is one arange.
+            vw = np.repeat(optr[onbr[lo:hi]] - cum[lo:hi], counts)
+            vw += np.arange(int(cum[lo]), int(cum[hi]))
+            cell = np.repeat(row_base[lo - a0 : hi - a0], counts)
+            cell += onbr[vw]
+            hit = table[cell]
+            closed = (hit != 0).nonzero()[0]
+            if len(closed):
+                uv = np.repeat(np.arange(lo, hi), counts)[closed]
+                yield uv, vw[closed], hit[closed].astype(np.int64) - 1
+        table[cells] = 0
 
 
 def _sparse_triangle_count(g: CSRGraph) -> int:
@@ -204,34 +219,24 @@ def _sparse_triangle_count(g: CSRGraph) -> int:
 
 @cached_analysis("triangle_list")
 def list_triangles(g: CSRGraph) -> TriangleList:
-    """Enumerate every triangle exactly once (vectorized forward join).
+    """Enumerate every triangle exactly once (row-block table join).
 
-    The result is memoized per graph: TR compression across S seeds, the
+    Vertices come from the closed wedges' arcs and every edge id from an
+    oriented arc's ``arc_eid``, so no edge-id lookup runs.  The result is
+    memoized per graph: TR compression across S seeds, the
     per-vertex/per-edge counters, and the exact global counter all share
     one O(m^{3/2}) listing of the same graph.
     """
     if g.directed:
         raise ValueError("triangle listing expects an undirected graph")
-    blocks = list(_iter_wedge_blocks(g))
+    optr, onbr, arc_u, arc_eid = _oriented_arcs(g)
+    blocks = list(_closed_wedges(g.n, optr, onbr, arc_u)) if len(onbr) else []
     if not blocks:
         empty = np.empty((0, 3), dtype=np.int64)
         return TriangleList(vertices=_frozen(empty), edge_ids=_frozen(empty.copy()))
-    tri = np.stack(
-        [
-            np.concatenate([b[0] for b in blocks]),
-            np.concatenate([b[1] for b in blocks]),
-            np.concatenate([b[2] for b in blocks]),
-        ],
-        axis=1,
-    )
-    eids = np.stack(
-        [
-            edge_ids_of_pairs(g, tri[:, 0], tri[:, 1]),
-            edge_ids_of_pairs(g, tri[:, 0], tri[:, 2]),
-            edge_ids_of_pairs(g, tri[:, 1], tri[:, 2]),
-        ],
-        axis=1,
-    )
+    uv, vw, uw = (np.concatenate([b[i] for b in blocks]) for i in range(3))
+    tri = np.stack([arc_u[uv], onbr[uv], onbr[vw]], axis=1)
+    eids = np.stack([arc_eid[uv], arc_eid[uw], arc_eid[vw]], axis=1)
     return TriangleList(vertices=_frozen(tri), edge_ids=_frozen(eids))
 
 

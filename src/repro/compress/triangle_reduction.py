@@ -60,6 +60,26 @@ __all__ = [
 _VARIANTS = ("basic", "edge_once", "count_triangles", "max_weight", "collapse")
 
 
+#: For x = 2, the two slots kept when slot ``i`` draws the largest number.
+_OTHER_SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _draw_triangle_edges(
+    rng, edge_ids: np.ndarray, idx: np.ndarray, x: int
+) -> np.ndarray:
+    """The ``x`` edges each sampled triangle ``edge_ids[idx]`` draws, (k, x).
+
+    One ``rng.random((k, 3))`` draw ranks a row's three slots, and the x
+    lowest-ranked slots are drawn — what a per-row argsort would pick,
+    read off without sorting: x = 1 takes the row's argmin, x = 2 every
+    slot but its argmax (in slot order; callers treat a row as a set).
+    """
+    ranks = rng.random((len(idx), 3))
+    if x == 1:
+        return edge_ids[idx, ranks.argmin(axis=1)][:, None]
+    return edge_ids[idx[:, None], _OTHER_SLOTS[ranks.argmax(axis=1)]]
+
+
 def _edge_once_delete_mask(
     num_edges: int, touched: np.ndarray, drawn: np.ndarray
 ) -> np.ndarray:
@@ -80,10 +100,8 @@ def _edge_once_delete_mask(
     first_touch = np.full(num_edges, num_events, dtype=np.int64)
     event_of = np.repeat(np.arange(num_events, dtype=np.int64), touched.shape[1])
     np.minimum.at(first_touch, touched.ravel(), event_of)
-    drawn_event = np.repeat(np.arange(num_events, dtype=np.int64), drawn.shape[1])
-    flat_drawn = drawn.ravel()
-    wins = first_touch[flat_drawn] == drawn_event
-    delete[flat_drawn[wins]] = True
+    wins = first_touch[drawn] == np.arange(num_events, dtype=np.int64)[:, None]
+    delete[drawn[wins]] = True
     return delete
 
 
@@ -223,7 +241,7 @@ class TriangleReduction(CompressionScheme):
     # -- fast path -------------------------------------------------------- #
 
     def compress(self, g: CSRGraph, *, seed=None) -> CompressionResult:
-        from repro.algorithms.triangles import edge_triangle_counts, list_triangles
+        from repro.algorithms.triangles import edge_triangle_counts
 
         rng = as_generator(seed)
         tl = self._discover_triangles(g, rng)
@@ -241,14 +259,9 @@ class TriangleReduction(CompressionScheme):
 
         delete = np.zeros(g.num_edges, dtype=bool)
         if self.variant == "basic":
-            # Choose x distinct of the 3 edge slots per sampled triangle via
-            # one random per-row permutation.
-            slots = np.argsort(rng.random((len(idx), 3)), axis=1)[:, : self.x]
-            chosen = np.take_along_axis(tl.edge_ids[idx], slots, axis=1)
-            delete[chosen.ravel()] = True
+            delete[_draw_triangle_edges(rng, tl.edge_ids, idx, self.x).ravel()] = True
         elif self.variant == "edge_once":
-            slots = np.argsort(rng.random((len(idx), 3)), axis=1)[:, : self.x]
-            chosen = np.take_along_axis(tl.edge_ids[idx], slots, axis=1)
+            chosen = _draw_triangle_edges(rng, tl.edge_ids, idx, self.x)
             delete = _edge_once_delete_mask(g.num_edges, tl.edge_ids[idx], chosen)
         elif self.variant == "count_triangles":
             counts = edge_triangle_counts(g)

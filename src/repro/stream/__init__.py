@@ -10,19 +10,13 @@ The subsystem has three tiers:
   batches through the sort-free CSR fast paths to produce immutable
   generations plus a fingerprint-linked ledger;
 - :mod:`repro.stream.incremental` — maintainers that keep a compressed
-  output per generation: EO triangle reduction is repaired in the
-  delta-touched neighborhood, every other scheme is recompressed.
+  output per generation by recompressing each one.
 
 ``python -m repro.stream replay <stream-file>`` drives all three.
 """
 
 from repro.stream.delta import EdgeDelta, read_stream, write_stream
-from repro.stream.incremental import (
-    IncrementalMaintainer,
-    IncrementalTriangleReduction,
-    Recompress,
-    maintainer_for,
-)
+from repro.stream.incremental import Recompress, maintainer_for
 from repro.stream.ingest import GenerationRecord, GraphStream, apply_delta
 
 __all__ = [
@@ -32,8 +26,6 @@ __all__ = [
     "GenerationRecord",
     "GraphStream",
     "apply_delta",
-    "IncrementalMaintainer",
-    "IncrementalTriangleReduction",
     "Recompress",
     "maintainer_for",
 ]

@@ -123,8 +123,7 @@ def _cmd_replay(args) -> int:
     weighted = deltas[0].insert_weights is not None
     stream = GraphStream(directed=directed, weighted=weighted)
     maintainers = [
-        maintainer_for(spec, seed=args.seed, churn_threshold=args.churn_threshold)
-        for spec in args.maintain
+        maintainer_for(spec, seed=args.seed) for spec in args.maintain
     ]
     base = stream.head
     for m in maintainers:
@@ -181,16 +180,10 @@ def main(argv=None) -> int:
         action="append",
         default=[],
         metavar="SPEC",
-        help="scheme spec to keep compressed per generation (repeatable), "
-        "e.g. 'spanner(k=4)' (recompressed) or 'EO-0.8-1-TR' (repaired)",
+        help="scheme spec to recompress per generation (repeatable), "
+        "e.g. 'spanner(k=4)' or 'EO-0.8-1-TR'",
     )
     replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument(
-        "--churn-threshold",
-        type=float,
-        default=0.25,
-        help="delta size / m above which maintainers fully recompress",
-    )
     replay.add_argument(
         "--directed",
         action="store_true",

@@ -179,7 +179,7 @@ DELTA_FAMILIES = {
     "grow": lambda g, seed: _delta_batches(
         g, seed, insert_frac=0.8, grow_vertices=2
     ),
-    # delete-heavy — exercises repair around removed structure
+    # delete-heavy — exercises recompression of shrinking generations
     "shrink": lambda g, seed: _delta_batches(g, seed, insert_frac=0.2),
 }
 
@@ -345,7 +345,7 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             msgs = [f"raised {type(err).__name__}: {err}"]
         return [f"{label}: {m}" for m in msgs]
 
-    checks += 4
+    checks += 5
     failures.extend(
         guarded(
             "tr_connectivity",
@@ -369,9 +369,12 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             lambda: properties.summary_identity(g, seed=case.seed),
         )
     )
+    failures.extend(
+        guarded("triangle_list_identity", lambda: properties.triangle_list_identity(g))
+    )
 
-    # Streaming metamorphic invariant: every delta family × every scheme
-    # with an incremental maintainer.  The delta stream is rebuilt from
+    # Streaming metamorphic invariant: every delta family × a spanner,
+    # a triangle and a vertex scheme kept per generation.  The delta stream is rebuilt from
     # (g, seed), so these replay from the case id like everything else.
     incremental_specs = ("spanner(k=4)", "EO-0.8-1-TR", "low_degree")
     for fam_name, delta_builder in DELTA_FAMILIES.items():

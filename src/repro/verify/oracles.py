@@ -33,6 +33,7 @@ import numpy as np
 from repro.algorithms.bfs import bfs, validate_bfs_tree
 from repro.algorithms.components import connected_components
 from repro.algorithms.registry import build_algorithm
+from repro.algorithms.triangles import TriangleList
 from repro.compress.mappings import LDDResult, jaccard_similarity
 from repro.compress.summarization import GraphSummary
 from repro.graphs.csr import CSRGraph
@@ -54,6 +55,7 @@ __all__ = [
     "oracle_core_numbers",
     "oracle_degree_counts",
     "oracle_ldd",
+    "oracle_triangle_list",
     "oracle_summary",
     "oracle_decompress",
 ]
@@ -222,6 +224,59 @@ def oracle_triangles_per_vertex(g: CSRGraph) -> list[int]:
                     counts[v] += 1
                     counts[w] += 1
     return counts
+
+
+def oracle_triangle_list(g: CSRGraph) -> TriangleList:
+    """Every triangle by a sorted-key wedge join with edge-id searches.
+
+    The reference for :func:`repro.algorithms.triangles.list_triangles`:
+    the same (degree, id) orientation, every wedge u→v→w materialized and
+    tested against the sorted ``u·n+w`` keys of the oriented arcs, and
+    each edge id found by a binary search over the canonical edge keys.
+    Wedges run in arc order, so triangles come out by u, then rank v,
+    then rank w — the order TR's draws index.
+    """
+    if g.directed:
+        raise ValueError("triangle listing expects an undirected graph")
+    n = np.int64(g.n)
+    rank = np.argsort(np.argsort(g.degrees * n + np.arange(g.n), kind="stable"))
+    forward = rank[g.indices] > rank[g.arc_heads]
+    heads, tails = g.arc_heads[forward], g.indices[forward]
+    order = np.lexsort((rank[tails], heads))
+    arc_u, arc_v = heads[order], tails[order]
+    optr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc_u, minlength=g.n), out=optr[1:])
+    arc_keys = np.sort(arc_u * n + arc_v)
+    blocks = []
+    for lo in range(0, len(arc_v), 4096):
+        u_blk, v_blk = arc_u[lo : lo + 4096], arc_v[lo : lo + 4096]
+        counts = optr[v_blk + 1] - optr[v_blk]
+        total = int(counts.sum())
+        rep_starts = np.repeat(optr[v_blk], counts)
+        rep_bases = np.repeat(np.cumsum(counts) - counts, counts)
+        ws = arc_v[rep_starts + (np.arange(total) - rep_bases)]
+        us, vs = np.repeat(u_blk, counts), np.repeat(v_blk, counts)
+        want = us * n + ws
+        pos = np.minimum(np.searchsorted(arc_keys, want), len(arc_keys) - 1)
+        closed = arc_keys[pos] == want
+        blocks.append(np.stack([us[closed], vs[closed], ws[closed]], axis=1))
+    tri = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
+    edge_keys = g.edge_src * n + g.edge_dst
+    by_key = np.argsort(edge_keys)
+
+    def edge_ids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        want = np.minimum(a, b) * n + np.maximum(a, b)
+        return by_key[np.searchsorted(edge_keys[by_key], want)]
+
+    eids = np.stack(
+        [
+            edge_ids(tri[:, 0], tri[:, 1]),
+            edge_ids(tri[:, 0], tri[:, 2]),
+            edge_ids(tri[:, 1], tri[:, 2]),
+        ],
+        axis=1,
+    )
+    return TriangleList(vertices=tri, edge_ids=eids)
 
 
 def oracle_clustering_coefficients(g: CSRGraph) -> list[float]:

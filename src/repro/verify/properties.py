@@ -6,8 +6,8 @@ hold between related runs": subgraph schemes return edge-subsets with
 consistent vertex alignment, EO-Triangle-Reduction preserves
 connectivity (§6.1), spanners bound distance stretch, chain lineages
 compose stage by stage, the sort-free transform fast paths are
-buffer-identical to the legacy rebuild, summarization matches its loop
-reference, snapshot/store round trips are
+buffer-identical to the legacy rebuild, summarization and triangle
+listing match their references, snapshot/store round trips are
 fingerprint-stable, and parallel grids equal in-memory grids.
 
 Every check returns a list of human-readable violation strings (empty =
@@ -308,21 +308,15 @@ def incremental_equivalence(
     spec: str,
     *,
     seed=0,
-    churn_threshold: float = 0.25,
 ) -> list[str]:
     """The streaming metamorphic invariant:
     ``recompress(apply(G, Δ)) ≡ incremental(G, Δ)``.
 
     A maintainer for ``spec`` is attached to ``g`` and advanced through
     ``deltas`` alongside a :class:`~repro.stream.ingest.GraphStream`.
-    After every generation the maintained output must match a full
-    recompress of that generation:
-
-    - **exactly** (bit-identical buffers) for deterministic maintainers
-      (every scheme that recompresses per generation);
-    - **contract-level** for the repairing EO-TR maintainer — the output
-      passes the batch scheme's subgraph invariants against the current
-      generation and keeps #CC (``eo_tr_components``).
+    After every generation the maintained output must pass the batch
+    scheme's subgraph invariants against that generation and be
+    bit-identical to a full recompress of it.
 
     Spanner stretch is a property of the batch output, checked by
     :func:`spanner_invariants`; a recompressed spanner stream is that
@@ -334,9 +328,7 @@ def incremental_equivalence(
     from repro.stream.incremental import maintainer_for
     from repro.stream.ingest import GraphStream
 
-    maintainer = maintainer_for(
-        spec, seed=seed, churn_threshold=churn_threshold
-    )
+    maintainer = maintainer_for(spec, seed=seed)
     stream = GraphStream(g)
     maintainer.attach(g)
     out: list[str] = []
@@ -345,16 +337,10 @@ def incremental_equivalence(
         maintainer.update(delta, generation)
         ctx = f"generation {i + 1} of {spec}"
         out += [f"{ctx}: {m}" for m in subgraph_invariants(maintainer.result())]
-        comp = maintainer.compressed
-        if maintainer.deterministic:
-            batch = build_scheme(spec).compress(generation, seed=seed).graph
-            out += _compare_buffers(comp, batch, f"({ctx} vs full recompress)")
-        else:
-            c0 = connected_components(generation).num_components
-            c1 = connected_components(comp).num_components
-            out += [
-                f"{ctx}: {m}" for m in _failed(bounds.eo_tr_components(c0, c1))
-            ]
+        batch = build_scheme(spec).compress(generation, seed=seed).graph
+        out += _compare_buffers(
+            maintainer.compressed, batch, f"({ctx} vs full recompress)"
+        )
         if out:
             return out
     return out
@@ -424,6 +410,22 @@ def summary_identity(g: CSRGraph, *, seed=0) -> list[str]:
             got.decompress(), oracle_decompress(ref), f"after decompress {ctx}"
         )
     return out
+
+
+def triangle_list_identity(g: CSRGraph) -> list[str]:
+    """Triangle listing must reproduce the sorted-key join reference
+    exactly: the same vertices and edge ids in the same order (TR's draws
+    index triangles in list order)."""
+    from repro.algorithms.triangles import list_triangles
+    from repro.verify.oracles import oracle_triangle_list
+
+    got, ref = list_triangles(g), oracle_triangle_list(g)
+    return [
+        f"triangle {name} differ from the reference "
+        f"({len(got)} vs {len(ref)} triangles)"
+        for name in ("vertices", "edge_ids")
+        if not np.array_equal(getattr(got, name), getattr(ref, name))
+    ]
 
 
 def snapshot_roundtrip(g: CSRGraph, directory) -> list[str]:

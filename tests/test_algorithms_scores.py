@@ -18,7 +18,8 @@ from repro.graphs import generators as gen
 from repro.graphs.analysis import analysis_cache
 from repro.graphs.csr import CSRGraph
 from repro.verify.fuzz import FAMILIES
-from repro.verify.oracles import oracle_triangle_count
+from repro.graphs import datasets
+from repro.verify.oracles import oracle_triangle_count, oracle_triangle_list
 from tests.conftest import to_networkx
 
 FAMILY_GRAPHS = [
@@ -220,3 +221,99 @@ class TestBetweenness:
         approx = betweenness_centrality(er300, num_sources=150, seed=0)
         # Top-ranked vertex should agree on a dense-enough sample.
         assert np.corrcoef(exact, approx)[0, 1] > 0.9
+
+
+def _assert_matches_oracle(g):
+    got, ref = _fresh_listing(g), oracle_triangle_list(g)
+    assert got.vertices.dtype == got.edge_ids.dtype == np.int64
+    assert np.array_equal(got.vertices, ref.vertices)
+    assert np.array_equal(got.edge_ids, ref.edge_ids)
+    return got
+
+
+class TestTriangleListing:
+    """The row-block table join against the sorted-key join reference:
+    same triangles, same order, same edge ids."""
+
+    @pytest.mark.parametrize(
+        "case,g", FAMILY_GRAPHS, ids=[c for c, _ in FAMILY_GRAPHS]
+    )
+    def test_every_family(self, case, g):
+        _assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("name", ["v-ewk", "s-pok"])
+    def test_stand_ins(self, name):
+        assert len(_assert_matches_oracle(datasets.load(name, seed=0))) > 0
+
+    @pytest.mark.parametrize("cells", [1, 299, 300, 301, 7 * 300 + 5])
+    @pytest.mark.parametrize("wedges", [1, 2, 7, 1 << 21])
+    def test_row_blocks_and_wedge_blocks_cut_anywhere(
+        self, monkeypatch, plc300, cells, wedges
+    ):
+        # A cap below n still holds one row; one wedge per sub-block cuts
+        # between every pair of arcs.
+        monkeypatch.setattr(triangles, "_TABLE_CELLS", cells)
+        monkeypatch.setattr(triangles, "_WEDGE_BLOCK", wedges)
+        assert len(_assert_matches_oracle(plc300)) == oracle_triangle_count(plc300)
+
+    def test_table_is_capped_and_reset(self, monkeypatch, plc300):
+        monkeypatch.setattr(triangles, "_TABLE_CELLS", 3 * plc300.n + 1)
+        tables = []
+        zeros = np.zeros
+
+        def spy(*args, **kwargs):
+            tables.append(zeros(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(triangles.np, "zeros", spy)
+        optr, onbr, arc_u, _ = triangles._oriented_arcs(plc300)
+        closed = list(triangles._closed_wedges(plc300.n, optr, onbr, arc_u))
+        monkeypatch.undo()
+        table = next(t for t in tables if t.dtype == np.int32)
+        assert table.size == 3 * plc300.n
+        assert not table.any()  # every block cleared what it wrote
+        assert len(closed) > 1
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            CSRGraph.empty(0),
+            CSRGraph.empty(6),
+            gen.grid_2d(7, 9),
+            gen.path_graph(2),
+        ],
+        ids=["n0", "edgeless", "grid", "one-edge"],
+    )
+    def test_no_triangles(self, g):
+        tl = _assert_matches_oracle(g)
+        assert tl.vertices.shape == tl.edge_ids.shape == (0, 3)
+
+    def test_isolated_vertices(self):
+        g = gen.disjoint_union(
+            CSRGraph.empty(4), gen.complete_graph(4), CSRGraph.empty(3)
+        )
+        tl = _assert_matches_oracle(g)
+        assert len(tl) == 4
+        assert set(np.unique(tl.vertices).tolist()) == {4, 5, 6, 7}
+
+    def test_complete_graph(self):
+        g = gen.complete_graph(50)
+        tl = _assert_matches_oracle(g)
+        assert len(tl) == 50 * 49 * 48 // 6
+        e = tl.edge_ids
+        for a, b, col in ((0, 1, 0), (0, 2, 1), (1, 2, 2)):
+            assert np.array_equal(
+                e[:, col], edge_ids_of_pairs(g, tl.vertices[:, a], tl.vertices[:, b])
+            )
+
+    def test_result_is_read_only(self, plc300):
+        tl = _fresh_listing(plc300)
+        with pytest.raises(ValueError):
+            tl.edge_ids[0, 0] = 0
+
+    def test_directed_rejected(self):
+        g = CSRGraph.from_edges(3, [0, 1, 0], [1, 2, 2], directed=True)
+        with pytest.raises(ValueError, match="undirected"):
+            list_triangles(g)
+        with pytest.raises(ValueError, match="undirected"):
+            oracle_triangle_list(g)

@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms.components import connected_components
 from repro.algorithms.mst import kruskal
 from repro.algorithms.triangles import count_triangles, list_triangles
-from repro.compress.triangle_reduction import TriangleReduction
+from repro.compress.triangle_reduction import TriangleReduction, _draw_triangle_edges
 from repro.graphs import generators as gen
 from repro.graphs.weights import with_uniform_weights
 
@@ -50,6 +50,30 @@ class TestBasicTR:
             TriangleReduction(0.5, x=2, variant="max_weight")
         with pytest.raises(ValueError):
             TriangleReduction(1.2)
+
+
+class TestSlotDraws:
+    """Slots picked without a per-row argsort are the argsort's picks."""
+
+    @pytest.mark.parametrize("x", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_matches_row_argsort(self, plc300, x, seed):
+        eids = list_triangles(plc300).edge_ids
+        idx = np.flatnonzero(np.random.default_rng(seed).random(len(eids)) < 0.6)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_triangle_edges(rng, eids, idx, x)
+        slots = np.argsort(ref_rng.random((len(idx), 3)), axis=1)[:, :x]
+        ref = np.take_along_axis(eids[idx], slots, axis=1)
+        assert got.shape == (len(idx), x)
+        assert np.array_equal(np.sort(got, axis=1), np.sort(ref, axis=1))
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
+    def test_no_sampled_triangles(self, plc300):
+        eids = list_triangles(plc300).edge_ids
+        empty = np.empty(0, dtype=np.int64)
+        for x in (1, 2):
+            got = _draw_triangle_edges(np.random.default_rng(0), eids, empty, x)
+            assert got.shape == (0, x)
 
 
 class TestEdgeOnce:

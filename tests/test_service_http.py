@@ -232,6 +232,12 @@ class TestDedupeOverHTTP:
 
     def test_metrics_reports_queue_and_store(self, service):
         base, queue = service
+        # A cold job and its warm resubmit of our own, so the asserts
+        # below hold when this test runs alone.
+        body = dict(JOB_BODY, seeds=[13])
+        for _ in range(2):
+            _, summary = _post(base, body)
+            assert _await(base, summary["id"])["state"] == DONE
         status, metrics = _get_json(base, "/metrics")
         assert status == 200
         assert metrics["workers"] == 2

@@ -1,16 +1,11 @@
 """Incremental recompression: maintained outputs must equal recompression.
 
-Two maintainers, three contracts:
+Every scheme is maintained by :class:`Recompress`, under two contracts:
 
-- attach (and every churn-triggered full rebuild) is *bit-identical* to
-  the batch scheme at the same seed — the EO-TR repair path shares the
-  batch RNG discipline, not merely its distribution;
+- attach is *bit-identical* to the batch scheme at the same seed;
 - across generations the metamorphic invariant
-  ``recompress(apply(G, Δ)) ≡ incremental(G, Δ)`` holds — exactly for
-  every scheme maintained by :class:`Recompress`, contract-level
-  (subgraph invariants + #CC) for the repairing EO triangle reduction;
-- churn above the threshold makes EO-TR fall back to a full rebuild, and
-  the stats ledger records which path ran.
+  ``recompress(apply(G, Δ)) ≡ incremental(G, Δ)`` holds exactly, and the
+  stats ledger counts one full rebuild per generation.
 """
 
 import numpy as np
@@ -21,12 +16,7 @@ from repro.compress.triangle_reduction import TriangleReduction
 from repro.compress.vertex_filters import LowDegreeVertexRemoval
 from repro.graphs import generators as gen
 from repro.graphs.weights import with_uniform_weights
-from repro.stream.delta import EdgeDelta
-from repro.stream.incremental import (
-    IncrementalTriangleReduction,
-    Recompress,
-    maintainer_for,
-)
+from repro.stream.incremental import Recompress, maintainer_for
 from repro.stream.ingest import GraphStream
 from repro.verify import properties
 from repro.verify.fuzz import DELTA_FAMILIES
@@ -116,40 +106,17 @@ class TestMetamorphicEquivalence:
         assert maintainer.stats == {"repairs": 0, "full_rebuilds": len(deltas)}
 
 
-class TestChurnFallback:
-    def test_large_delta_forces_full_rebuild(self, base):
-        maintainer = IncrementalTriangleReduction(
-            0.8, seed=0, churn_threshold=0.01
-        )
-        stream = GraphStream(base)
-        maintainer.attach(base)
-        delta = DELTA_FAMILIES["churn"](base, 0)[0]  # 12 ops >> 1% of m
-        maintainer.update(delta, stream.apply(delta))
-        assert maintainer.stats == {"repairs": 0, "full_rebuilds": 1}
-        # ... and the rebuild equals the batch scheme on the new head.
-        batch = BATCH["EO-0.8-1-TR"]().compress(stream.head, seed=0).graph
-        assert_buffers_identical(maintainer.compressed, batch)
-
-    def test_small_delta_repairs(self, base):
-        maintainer = IncrementalTriangleReduction(
-            0.8, seed=0, churn_threshold=0.25
-        )
-        stream = GraphStream(base)
-        maintainer.attach(base)
-        delta = EdgeDelta.build(deletes=[(int(base.edge_src[0]), int(base.edge_dst[0]))])
-        maintainer.update(delta, stream.apply(delta))
-        assert maintainer.stats == {"repairs": 1, "full_rebuilds": 0}
-
-
 class TestDispatchAndGuards:
     def test_maintainer_for_dispatch(self):
-        assert isinstance(
-            maintainer_for("EO-0.5-1-TR"), IncrementalTriangleReduction
-        )
-        for spec in ("spanner(k=3)", "low_degree", "uniform(p=0.5)"):
+        for spec, name in (
+            ("EO-0.5-1-TR", "triangle_reduction"),
+            ("spanner(k=3)", "spanner"),
+            ("low_degree", "low_degree"),
+            ("uniform(p=0.5)", "uniform"),
+        ):
             m = maintainer_for(spec)
             assert isinstance(m, Recompress)
-            assert m.deterministic and m.scheme_name == spec.split("(")[0]
+            assert m.scheme_name == name
 
     def test_other_variants_recompress(self):
         for scheme in (

@@ -179,6 +179,24 @@ class TestPipelineInvariants:
         assert any("corrections_plus differ" in m for m in msgs)
 
 
+    def test_triangle_list_identity(self, plc300):
+        assert properties.triangle_list_identity(plc300) == []
+
+    def test_triangle_list_identity_catches_reordered_triangles(self, monkeypatch):
+        from repro.algorithms import triangles
+
+        listing = triangles.list_triangles
+
+        def reordered(g):
+            tl = listing(g)
+            return triangles.TriangleList(tl.vertices[::-1], tl.edge_ids[::-1])
+
+        monkeypatch.setattr(triangles, "list_triangles", reordered)
+        g = gen.powerlaw_cluster(60, 3, 0.5, seed=1)
+        msgs = properties.triangle_list_identity(g)
+        assert any("triangle vertices differ" in m for m in msgs)
+        assert any("triangle edge_ids differ" in m for m in msgs)
+
 class TestRoundTrips:
     def test_snapshot_roundtrip(self, plc300, tmp_path):
         assert properties.snapshot_roundtrip(plc300, tmp_path) == []
