@@ -110,7 +110,6 @@ class ResultAdapter:
     canonicalize: Callable[[Any], Any]
     align: Callable[[Any, Any, Any], tuple]
     default_metric: str
-    legacy_kind: str
     summary: str = ""
 
 
@@ -122,7 +121,6 @@ _ADAPTERS: dict[str, ResultAdapter] = {
             canonicalize=_as_scalar,
             align=_identity_align,
             default_metric="relative_change",
-            legacy_kind="scalar",
             summary="one number (CC count, MST weight, triangle count)",
         ),
         ResultAdapter(
@@ -130,7 +128,6 @@ _ADAPTERS: dict[str, ResultAdapter] = {
             canonicalize=_as_float_vector,
             align=_align_vectors,
             default_metric="kl_divergence",
-            legacy_kind="distribution",
             summary="nonnegative mass vector; normalized before divergences",
         ),
         ResultAdapter(
@@ -138,7 +135,6 @@ _ADAPTERS: dict[str, ResultAdapter] = {
             canonicalize=_as_float_vector,
             align=_align_vectors,
             default_metric="reordered_neighbor_pairs",
-            legacy_kind="vector",
             summary="per-vertex scores judged by relative order",
         ),
         ResultAdapter(
@@ -146,7 +142,6 @@ _ADAPTERS: dict[str, ResultAdapter] = {
             canonicalize=_as_vertex_set,
             align=_align_vertex_sets,
             default_metric="jaccard_overlap",
-            legacy_kind="vertex_set",
             summary="a set of vertex ids (independent sets, matchings)",
         ),
         ResultAdapter(
@@ -154,19 +149,14 @@ _ADAPTERS: dict[str, ResultAdapter] = {
             canonicalize=lambda value: value,
             align=_identity_align,
             default_metric="critical_edge_preservation",
-            legacy_kind="bfs",
             summary="rooted traversal; scored on the graphs (critical edges)",
         ),
     )
 }
 
-_BY_LEGACY_KIND = {a.legacy_kind: a for a in _ADAPTERS.values()}
-
-
 def get_adapter(name: str) -> ResultAdapter:
-    """Adapter by name; legacy ``AlgorithmSpec.kind`` values also resolve
-    (``"vector"`` → ordering, ``"bfs"`` → traversal)."""
-    adapter = _ADAPTERS.get(name) or _BY_LEGACY_KIND.get(name)
+    """Adapter by name; an unknown name is an error naming the known ones."""
+    adapter = _ADAPTERS.get(name)
     if adapter is None:
         raise ValueError(
             f"unknown result adapter {name!r}; known: {sorted(_ADAPTERS)}"

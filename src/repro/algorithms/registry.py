@@ -39,6 +39,7 @@ from repro.algorithms.spec import AlgorithmSpec
 from repro.utils.registry import AliasNamespace
 
 __all__ = [
+    "DEFAULT_BATTERY",
     "AlgorithmEntry",
     "BoundAlgorithm",
     "register_algorithm",
@@ -50,6 +51,10 @@ __all__ = [
     "canonical_param",
     "build_algorithm",
 ]
+
+#: The paper's Fig. 5 / Table 5 battery as registry names: the default
+#: algorithms of a grid, a job and a named sweep.
+DEFAULT_BATTERY = ("bfs", "pr", "cc", "tc")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The core Slim Graph loop is "pick a scheme → run an algorithm on original
 vs. compressed → score with accuracy metrics".  :class:`Session` holds
 everything that loop shares across schemes — the graph, the seed policy,
-the execution backend, and most importantly a **baseline cache** so the
+the store and worker pool, and most importantly a **baseline cache** so the
 original-graph run of each algorithm is computed once per session no
 matter how many schemes are scored against it::
 
@@ -47,10 +47,10 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.utils.timer import timed_call
 
-from repro.obs.spans import enable_tracing, span as _span, tracer as _tracer
+from repro.obs.spans import span as _span
 
 from repro.algorithms.adapters import get_adapter
-from repro.algorithms.registry import BoundAlgorithm, build_algorithm
+from repro.algorithms.registry import DEFAULT_BATTERY, BoundAlgorithm, build_algorithm
 from repro.algorithms.spec import AlgorithmSpec
 from repro.analytics.grid import GridCell, SweepTable
 from repro.compress.base import CompressionResult, CompressionScheme
@@ -68,9 +68,9 @@ __all__ = ["Session", "CompressedRun", "ScoreReport", "SweepRow", "SweepTable"]
 
 _UNSET = object()
 
-# Shared with the sweep runner through :mod:`repro.utils.timer`; kept
-# under the historical local name for the call sites below.
-_timed = timed_call
+#: The §5 battery as the session binds it: the grid default plus the
+#: per-vertex triangle vector that :meth:`Session.sweep` also scores.
+_BATTERY = (*DEFAULT_BATTERY, "tc_per_vertex")
 
 
 def _spec_label(scheme) -> str:
@@ -258,7 +258,7 @@ class CompressedRun:
                 self._runs[runner.label] = _AlgorithmRun(runner, None, 0.0, None, 0.0)
                 continue
             out0, t0 = self.session.baseline(runner)
-            out1, t1 = _timed(runner.fn, self.graph)
+            out1, t1 = timed_call(runner.fn, self.graph)
             self._runs[runner.label] = _AlgorithmRun(runner, out0, t0, out1, t1)
         return self
 
@@ -341,10 +341,6 @@ class SweepRow:
     seed: object = None
 
 
-#: The paper's Fig. 5 / Table 5 battery expressed as registry names.
-DEFAULT_GRID_ALGORITHMS = ("bfs", "pr", "cc", "tc")
-
-
 class Session:
     """Shared state for evaluating many schemes against one graph.
 
@@ -354,10 +350,6 @@ class Session:
         The original graph every scheme is applied to and compared against.
     seed:
         Default compression seed (overridable per :meth:`compress` call).
-    backend, num_chunks:
-        Execution backend for kernel-path compression
-        (:meth:`compress` with ``via="kernels"``): ``"serial"`` or
-        ``"chunked"``, selected here once for the whole session.
     bfs_root, pr_iterations:
         Session defaults injected into registry algorithms that omit them
         (``bfs``/``sssp`` without ``source``, ``pagerank`` without
@@ -372,13 +364,12 @@ class Session:
         fans grid cells out over a process pool
         (:mod:`repro.runner.parallel`).  ``None``/``0``/``1`` stay
         in-process.
-    trace:
-        Turn on span tracing (:mod:`repro.obs.spans`) for this process.
-        ``True`` enables the global tracer; a path additionally makes
-        :meth:`write_trace` default to writing the Chrome trace-event
-        export there.  Worker processes spawned by parallel grids record
-        their own spans and the session stitches them under the
-        scheduling span, so one export covers every process.
+
+    Span tracing (:mod:`repro.obs.spans`) is process-global: turn it on
+    with :func:`~repro.obs.spans.enable_tracing` and export with
+    ``tracer().write_chrome_trace(path)``.  Worker processes spawned by
+    parallel grids record their own spans and the grid stitches them
+    under its scheduling span, so one export covers every process.
     """
 
     def __init__(
@@ -386,19 +377,14 @@ class Session:
         graph: CSRGraph,
         *,
         seed=0,
-        backend: str = "serial",
-        num_chunks: int | None = None,
         bfs_root: int = 0,
         pr_iterations: int = 100,
         store=None,
         jobs: int | None = None,
         retry=None,
-        trace=None,
     ):
         self.graph = graph
         self.seed = seed
-        self.backend = backend
-        self.num_chunks = num_chunks
         self.bfs_root = bfs_root
         self.pr_iterations = pr_iterations
         from repro.runner.store import ArtifactStore
@@ -414,13 +400,6 @@ class Session:
 
             retry = RetryPolicy.of(retry)
         self.retry = retry
-        #: Default export path for :meth:`write_trace` (None = must be
-        #: passed explicitly).  Tracing itself is process-global.
-        self.trace_path = None
-        if trace:
-            enable_tracing()
-            if not isinstance(trace, bool):
-                self.trace_path = trace
         #: Execution statistics of the most recent :meth:`grid` call
         #: ({} until one runs): the :func:`repro.runner.parallel.run_grid`
         #: perf record — the :data:`~repro.runner.parallel.PERF_COUNTERS`,
@@ -436,22 +415,8 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session(graph={self.graph!r}, seed={self.seed!r}, "
-            f"backend={self.backend!r}, cached_baselines={len(self._baselines)})"
+            f"cached_baselines={len(self._baselines)})"
         )
-
-    def write_trace(self, path=None, metadata: dict | None = None):
-        """Export the global tracer as Chrome trace-event JSON.
-
-        ``path`` defaults to the path passed as ``Session(trace=…)``.
-        Load the file in ``chrome://tracing`` or https://ui.perfetto.dev;
-        ``python -m repro.obs validate/tree`` checks and pretty-prints it.
-        """
-        target = self.trace_path if path is None else path
-        if target is None:
-            raise ValueError(
-                "no trace path: pass one or construct Session(trace=path)"
-            )
-        return _tracer().write_chrome_trace(target, metadata)
 
     # -- algorithm resolution ---------------------------------------------- #
 
@@ -509,7 +474,7 @@ class Session:
         """
         if self._battery_runner_cache is None:
             runners = []
-            for short in ("bfs", "pr", "cc", "tc", "tc_per_vertex"):
+            for short in _BATTERY:
                 runner = _Runner.of_bound(self._bind(short))
                 runner.name = short
                 runner.label = short
@@ -529,33 +494,23 @@ class Session:
         if cached is None:
             self.baseline_computations += 1
             with _span("baseline", algorithm=runner.label):
-                cached = _timed(runner.fn, self.graph)
+                cached = timed_call(runner.fn, self.graph)
             self._baselines[runner.key] = cached
         return cached
 
     # -- compression ------------------------------------------------------- #
 
-    def compress(self, scheme, *, seed=_UNSET, via: str = "fast") -> CompressedRun:
+    def compress(self, scheme, *, seed=_UNSET) -> CompressedRun:
         """Compress the session graph; returns the fluent handle.
 
         ``scheme`` is anything :func:`repro.compress.registry.build_scheme`
-        accepts.  ``via="kernels"`` executes the scheme's compression-kernel
-        program on the session's backend instead of the vectorized path.
+        accepts.  A scheme's compression-kernel program runs through
+        ``scheme.compress_via_kernels(graph, seed=, backend=, num_chunks=)``.
         """
         scheme = build_scheme(scheme)
         seed = self.seed if seed is _UNSET else seed
-        with _span("compress", scheme=_spec_label(scheme), seed=seed, via=via) as sp:
-            if via == "fast":
-                result = scheme.compress(self.graph, seed=seed)
-            elif via == "kernels":
-                result = scheme.compress_via_kernels(
-                    self.graph,
-                    seed=seed,
-                    backend=self.backend,
-                    num_chunks=self.num_chunks,
-                )
-            else:
-                raise ValueError(f"via must be 'fast' or 'kernels', got {via!r}")
+        with _span("compress", scheme=_spec_label(scheme), seed=seed) as sp:
+            result = scheme.compress(self.graph, seed=seed)
             sp.set(compression_ratio=result.compression_ratio)
         return CompressedRun(self, scheme, result, seed=seed)
 
@@ -592,7 +547,7 @@ class Session:
             :class:`~repro.algorithms.spec.AlgorithmSpec`,
             :class:`~repro.algorithms.registry.BoundAlgorithm`);
             duplicates are executed once.  ``None`` runs the paper battery
-            ``("bfs", "pr", "cc", "tc")``.
+            :data:`~repro.algorithms.registry.DEFAULT_BATTERY`.
         metrics:
             Metric names applied to every algorithm they are compatible
             with (by result adapter); ``None`` scores each algorithm with
@@ -636,7 +591,7 @@ class Session:
 
         runners: list[_Runner] = []
         seen_keys: set = set()
-        for alg in algorithms if algorithms is not None else DEFAULT_GRID_ALGORITHMS:
+        for alg in algorithms if algorithms is not None else DEFAULT_BATTERY:
             runner = self._as_runner(alg)
             if runner.key in seen_keys:
                 continue
@@ -685,7 +640,7 @@ class Session:
         with _span("algorithm", algorithm=runner.label, scheme=scheme_label) as sp:
             if runner.execute:
                 out0, t0 = self.baseline(runner)
-                out1, t1 = _timed(runner.fn, run.graph)
+                out1, t1 = timed_call(runner.fn, run.graph)
             else:
                 out0 = out1 = None
                 t0 = t1 = 0.0
@@ -706,10 +661,6 @@ class Session:
             ]
             sp.inc("cells", len(cells))
         return cells
-
-    #: The §5 battery as the sweep's registry spellings (the grid default
-    #: plus the per-vertex triangle vector the battery also scores).
-    _SWEEP_BATTERY = ("bfs", "pr", "cc", "tc", "tc_per_vertex")
 
     def sweep(
         self,
@@ -752,7 +703,7 @@ class Session:
             if scheme not in unique:
                 unique.append(scheme)
         surfaces = (
-            list(algorithms) if algorithms is not None else list(self._SWEEP_BATTERY)
+            list(algorithms) if algorithms is not None else list(_BATTERY)
         )
         by_label = {_spec_label(s): s for s in unique}
         best: dict[CompressionScheme, dict[str, GridCell]] = {s: {} for s in unique}

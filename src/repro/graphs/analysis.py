@@ -14,12 +14,6 @@ structures **per graph object**:
   identity keying gives mutation-free invalidation for free: a derived
   graph can never observe its parent's cached triangles, and cached
   entries die with the graph instead of pinning it in memory.
-- **fingerprint-linked** — a graph's content fingerprint
-  (:func:`repro.runner.fingerprint.graph_fingerprint`) can be registered
-  with :meth:`AnalysisCache.link_fingerprint`; a *different* object with
-  the same content (e.g. one reloaded from a binary snapshot) can then
-  :meth:`~AnalysisCache.adopt` the live twin's cached analyses instead of
-  recomputing them.
 - **observable** — per-analysis hit/miss counters surface in
   ``Session.last_grid_perf`` and the runner's ``BENCH_*.json`` records
   (see :func:`stats_delta`), so cache effectiveness is part of the perf
@@ -57,18 +51,14 @@ class AnalysisCache:
 
     def __init__(self) -> None:
         self._entries: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._by_fingerprint: dict[str, weakref.ref] = {}
         self._hits: dict[str, int] = defaultdict(int)
         self._misses: dict[str, int] = defaultdict(int)
-        self.enabled = True
 
     # -- core lookup -------------------------------------------------------- #
 
     def lookup(self, graph, name: str, build):
         """The cached ``name`` analysis of ``graph``, computing via
         ``build(graph)`` on a miss.  Counts a hit or a miss either way."""
-        if not self.enabled:
-            return build(graph)
         entry = self._entry(graph)
         if entry is None:  # graph cannot be weakly referenced / hashed
             return build(graph)
@@ -90,8 +80,6 @@ class AnalysisCache:
         absent one counts nothing, because peeking is how callers probe
         for *optional* reuse without committing to the computation.
         """
-        if not self.enabled:
-            return default
         try:
             entry = self._entries.get(graph)
         except TypeError:
@@ -104,8 +92,6 @@ class AnalysisCache:
 
     def put(self, graph, name: str, value) -> None:
         """Install a value computed elsewhere (no hit/miss accounting)."""
-        if not self.enabled:
-            return
         entry = self._entry(graph)
         if entry is not None:
             entry[name] = value
@@ -120,74 +106,6 @@ class AnalysisCache:
         except TypeError:
             return None
 
-    # -- fingerprint linkage ------------------------------------------------ #
-
-    def link_fingerprint(self, graph, fingerprint: str) -> None:
-        """Register ``graph`` as a live carrier of ``fingerprint``.
-
-        The link is weak, and a collected graph prunes its own entry (via
-        the weakref callback), so long-lived processes fingerprinting many
-        transient graphs do not accumulate dead links.
-        """
-        if not self.enabled:
-            return
-        fp = str(fingerprint)
-        table = self._by_fingerprint
-
-        def _prune(ref, _fp=fp, _table=table):
-            # Only drop the entry if it still points at the dead ref —
-            # the fingerprint may have been re-linked to a newer graph.
-            if _table.get(_fp) is ref:
-                del _table[_fp]
-
-        try:
-            table[fp] = weakref.ref(graph, _prune)
-        except TypeError:
-            pass
-
-    def resolve_fingerprint(self, fingerprint: str):
-        """A live graph previously linked to ``fingerprint``, or ``None``."""
-        ref = self._by_fingerprint.get(str(fingerprint))
-        if ref is None:
-            return None
-        graph = ref()
-        if graph is None:
-            del self._by_fingerprint[str(fingerprint)]
-        return graph
-
-    def adopt(self, graph, fingerprint: str) -> int:
-        """Copy cached analyses from a live same-content twin onto ``graph``.
-
-        Safe because analyses are pure functions of graph *content* and
-        the fingerprint is a content hash.  Returns the number of entries
-        adopted (0 when no live twin exists).  Also links ``graph`` as a
-        carrier of ``fingerprint``.
-        """
-        if not self.enabled:
-            return 0
-        adopted = 0
-        twin = self.resolve_fingerprint(fingerprint)
-        if twin is not None and twin is not graph:
-            source = self.peek_all(twin)
-            if source:
-                entry = self._entry(graph)
-                if entry is not None:
-                    for name, value in source.items():
-                        if name not in entry:
-                            entry[name] = value
-                            adopted += 1
-        self.put(graph, "fingerprint", str(fingerprint))
-        self.link_fingerprint(graph, fingerprint)
-        return adopted
-
-    def peek_all(self, graph) -> dict:
-        """All cached analyses of ``graph`` as ``{name: value}`` (a copy)."""
-        try:
-            entry = self._entries.get(graph)
-        except TypeError:
-            return {}
-        return dict(entry) if entry else {}
-
     # -- maintenance & observability ---------------------------------------- #
 
     def forget(self, graph) -> None:
@@ -198,9 +116,8 @@ class AnalysisCache:
             pass
 
     def clear(self) -> None:
-        """Drop all cached entries and fingerprint links (stats persist)."""
+        """Drop all cached entries (stats persist)."""
         self._entries.clear()
-        self._by_fingerprint.clear()
 
     def reset_stats(self) -> None:
         self._hits.clear()

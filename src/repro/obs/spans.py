@@ -24,9 +24,11 @@ attribute check plus a constant yield — cheap enough to leave ``span``
 calls on hot paths (``benchmarks/bench_core.py`` asserts the enabled
 overhead stays ≤ 2% on the 1e6-edge transform path).
 
-The process-global tracer (:func:`tracer`) is what ``Session(trace=…)``,
-``python -m repro.runner --trace``, and the service queue all write
-through; worker processes enable their own and ship spans back.
+The process-global tracer (:func:`tracer`) is what every span writes
+through — the session, ``python -m repro.runner --trace`` and the service
+queue alike.  Library callers turn it on with :func:`enable_tracing` and
+export with ``tracer().write_chrome_trace(path)``; worker processes
+enable their own and ship spans back.
 """
 
 from __future__ import annotations

@@ -107,10 +107,10 @@ def main(argv=None) -> int:
     if args.trace:
         from repro.obs.spans import tracer
 
-        trace_path = tracer().write_chrome_trace(
+        written = tracer().write_chrome_trace(
             args.trace, metadata={"sweep": result.spec.name}
         )
-        print(f"trace: {trace_path} ({len(tracer())} spans)")
+        print(f"trace: {written} ({len(tracer())} spans)")
     if args.csv:
         result.table.to_csv(f"{args.out}/{result.spec.name}_cells.csv")
     if args.markdown:

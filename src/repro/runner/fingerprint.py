@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from repro.graphs.analysis import analysis_cache, cached_analysis
+from repro.graphs.analysis import analysis_cache
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["graph_fingerprint"]
@@ -26,7 +26,6 @@ __all__ = ["graph_fingerprint"]
 _FINGERPRINT_TAG = b"repro-csr-fp-v1"
 
 
-@cached_analysis("fingerprint")
 def _compute_fingerprint(g: CSRGraph) -> str:
     h = hashlib.sha256()
     h.update(_FINGERPRINT_TAG)
@@ -47,11 +46,8 @@ def graph_fingerprint(g: CSRGraph) -> str:
     all-ones weighted twin fingerprint differently).  The derived CSR
     adjacency is *not* hashed: it is a function of the canonical arrays.
 
-    Memoized per graph object through the analysis cache, and the graph
-    is registered as a live carrier of its fingerprint so snapshot
-    reloads of the same content can adopt its cached analyses
-    (:meth:`repro.graphs.analysis.AnalysisCache.adopt`).
+    Memoized per graph object through the analysis cache, where
+    :meth:`repro.runner.store.ArtifactStore.load_graph` also installs the
+    known fingerprint of every graph it reloads.
     """
-    fp = _compute_fingerprint(g)
-    analysis_cache().link_fingerprint(g, fp)
-    return fp
+    return analysis_cache().lookup(g, "fingerprint", _compute_fingerprint)

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.algorithms.registry import DEFAULT_BATTERY
 from repro.analytics.grid import SweepTable
 from repro.obs.resources import sample_resources
 from repro.obs.spans import span
@@ -66,7 +67,7 @@ class SweepSpec:
     name: str
     graphs: tuple[str, ...]
     schemes: tuple[str, ...]
-    algorithms: tuple[str, ...] = ("bfs", "pr", "cc", "tc")
+    algorithms: tuple[str, ...] = DEFAULT_BATTERY
     metrics: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = (0,)
     #: Seed handed to :func:`repro.graphs.datasets.load` when building
@@ -84,14 +85,6 @@ class SweepResult:
     spec: SweepSpec
     table: SweepTable
     perf: dict = field(default_factory=dict)
-
-    def bench_record(self) -> dict:
-        """The JSON-safe ``BENCH_*`` perf record for this run."""
-        return {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "sweep": self.spec.name,
-            **self.perf,
-        }
 
 
 _SWEEPS: dict[str, SweepSpec] = {}

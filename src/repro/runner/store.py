@@ -200,13 +200,8 @@ class ArtifactStore:
     the *same* key (last atomic replace wins; both wrote equal content).
     """
 
-    SCHEMA_VERSION = SCHEMA_VERSION
-
-    def __init__(self, root, *, schema_version: int | None = None):
+    def __init__(self, root):
         self.root = Path(root)
-        self.schema_version = (
-            SCHEMA_VERSION if schema_version is None else int(schema_version)
-        )
         self.stats = StoreStats()
 
     @classmethod
@@ -220,10 +215,7 @@ class ArtifactStore:
         return cls(value)
 
     def __repr__(self) -> str:
-        return (
-            f"ArtifactStore({str(self.root)!r}, cells={len(self)}, "
-            f"schema_version={self.schema_version})"
-        )
+        return f"ArtifactStore({str(self.root)!r}, cells={len(self)})"
 
     # -- keying ------------------------------------------------------------- #
 
@@ -281,7 +273,7 @@ class ArtifactStore:
             return None
         if (
             not isinstance(record, dict)
-            or record.get("schema_version") != self.schema_version
+            or record.get("schema_version") != SCHEMA_VERSION
         ):
             self.stats.add(invalidated=1, misses=1)
             return None
@@ -297,7 +289,7 @@ class ArtifactStore:
 
         fault_point("store.put_cells", digest=key.digest[:12])
         record = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "key": key.to_dict(),
             "payload": payload,
         }
@@ -359,10 +351,8 @@ class ArtifactStore:
         long-lived process (the compression service) holds no file
         mappings into the store.
 
-        The loaded graph adopts any cached analyses of a live graph with
-        the same content fingerprint (triangle lists etc. are functions
-        of content), so a reload never re-pays for analyses the original
-        object already computed in this process.
+        The fingerprint the graph was stored under goes into the analysis
+        cache, so fingerprinting the reloaded graph never hashes it again.
         """
         path = self.graph_path(fingerprint)
         if path is None:
@@ -373,5 +363,5 @@ class ArtifactStore:
             return None
         from repro.graphs.analysis import analysis_cache
 
-        analysis_cache().adopt(g, fingerprint)
+        analysis_cache().put(g, "fingerprint", fingerprint)
         return g

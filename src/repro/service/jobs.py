@@ -33,6 +33,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+from repro.algorithms.registry import DEFAULT_BATTERY
 from repro.analytics.grid import SweepTable
 from repro.obs.spans import span
 from repro.runner.parallel import merge_perf, new_perf
@@ -55,9 +56,6 @@ __all__ = [
 #: Graph references of this form resolve to a store snapshot instead of a
 #: named dataset stand-in.
 FINGERPRINT_PREFIX = "fingerprint:"
-
-#: The paper's default battery, mirrored from the session grid default.
-DEFAULT_ALGORITHMS = ("bfs", "pr", "cc", "tc")
 
 
 def _as_list(values, field: str) -> list:
@@ -103,7 +101,7 @@ class JobSpec:
 
     graph: str
     schemes: tuple[str, ...]
-    algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
+    algorithms: tuple[str, ...] = DEFAULT_BATTERY
     metrics: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = (0,)
     #: Seed for building dataset stand-ins (not the compression seeds).
@@ -142,7 +140,7 @@ class JobSpec:
             )
         schemes = _as_names(schemes, "schemes", build_scheme)
         if algorithms is None:
-            algorithms = DEFAULT_ALGORITHMS
+            algorithms = DEFAULT_BATTERY
         else:
             algorithms = _as_names(algorithms, "algorithms", build_algorithm)
         if metrics is not None:

@@ -403,10 +403,13 @@ class JobQueue:
         _queue_depth.inc(-1)
         if expired:
             _queue_timeouts.inc()
-            self._fail(
-                record,
-                f"job timed out after {self.job_timeout}s (never started)",
+            # A requeued retry expires here too, after its failed attempts.
+            where = (
+                f"{record.attempts} failed attempt(s), expired awaiting retry"
+                if record.attempts
+                else "never started"
             )
+            self._fail(record, f"job timed out after {self.job_timeout}s ({where})")
             return
         if self.ledger is not None:
             self.ledger.record("running", record.id, attempts=record.attempts)

@@ -5,7 +5,7 @@ The subsystem has three tiers:
 
 - :mod:`repro.stream.delta` — the validated, canonicalized
   :class:`EdgeDelta` batch model with stable content-addressed ids and
-  JSON/NPZ/text round trips;
+  a lossless text stream file (:func:`read_stream`, :func:`write_stream`);
 - :mod:`repro.stream.ingest` — :class:`GraphStream`, which applies delta
   batches through the sort-free CSR fast paths to produce immutable
   generations plus a fingerprint-linked ledger;

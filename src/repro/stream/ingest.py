@@ -18,9 +18,8 @@ Because every generation is a *new object*, the identity-keyed
 invalidation for free: a triangle listing cached for generation ``i``
 can never leak to generation ``i+1``.  The stream additionally
 fingerprints each generation (:func:`~repro.runner.fingerprint.
-graph_fingerprint`), which links it as a live carrier so snapshot
-reloads adopt its cached analyses and the artifact store keys its sweep
-cells by content.  The resulting **ledger** is a JSON-safe chain
+graph_fingerprint`), so the artifact store keys its sweep cells by
+content.  The resulting **ledger** is a JSON-safe chain
 
     ``(index, delta_id, parent_fingerprint) -> fingerprint``
 

@@ -177,10 +177,12 @@ class TestAlgorithmRegistry:
 
 
 class TestResultAdapters:
-    def test_legacy_kinds_resolve(self):
-        assert get_adapter("vector").name == "ordering"
-        assert get_adapter("bfs").name == "traversal"
+    def test_unknown_kind_names_known_adapters(self):
         assert get_adapter("scalar").name == "scalar"
+        with pytest.raises(ValueError, match="vector") as err:
+            get_adapter("vector")
+        for name in ("scalar", "distribution", "ordering", "vertex_set", "traversal"):
+            assert name in str(err.value)
 
     def test_distribution_canonicalize_is_ranks_aware(self, plc300):
         from repro.algorithms.pagerank import pagerank

@@ -1,13 +1,15 @@
 """Tests for the graph-keyed analysis cache and its perf-record plumbing.
 
 Covers the cache contract (identity keying, weak entries, hit/miss
-accounting, fingerprint adoption), mutation-free invalidation (a derived
+accounting, the fingerprint a store reload installs), mutation-free
+invalidation (a derived
 graph never sees its parent's cached triangles), and the headline reuse
 guarantee: a multi-seed TR sweep lists the original graph's triangles
 exactly once, observable through cache stats and BENCH perf records.
 """
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -66,53 +68,6 @@ class TestAnalysisCache:
         gc.collect()
         assert ref() is None
         assert c.stats()["live_graphs"] == 0
-
-    def test_disabled_cache_passes_through(self):
-        c = AnalysisCache()
-        c.enabled = False
-        g = triangle_rich()
-        calls = []
-        c.lookup(g, "thing", lambda graph: calls.append(1) or "v")
-        c.lookup(g, "thing", lambda graph: calls.append(1) or "v")
-        assert len(calls) == 2
-        assert c.stats()["hits"] == 0 and c.stats()["misses"] == 0
-
-    def test_fingerprint_adoption(self):
-        c = AnalysisCache()
-        g1 = triangle_rich(seed=2)
-        g2 = triangle_rich(seed=2)
-        c.put(g1, "triangle_list", "expensive")
-        c.link_fingerprint(g1, "fp")
-        assert c.resolve_fingerprint("fp") is g1
-        assert c.adopt(g2, "fp") == 1
-        assert c.peek(g2, "triangle_list") == "expensive"
-        # A dead carrier resolves to nothing and adoption is a no-op.
-        del g1
-        gc.collect()
-        g3 = triangle_rich(seed=2)
-        c2 = AnalysisCache()
-        assert c2.resolve_fingerprint("fp") is None
-        assert c2.adopt(g3, "fp") == 0
-
-    def test_dead_fingerprint_links_self_prune(self):
-        """Collected carriers remove their own fingerprint entries, so the
-        link table does not grow with transient graphs."""
-        c = AnalysisCache()
-        for i in range(5):
-            g = triangle_rich(seed=i, n=20)
-            c.link_fingerprint(g, f"fp-{i}")
-        del g
-        gc.collect()
-        assert len(c._by_fingerprint) == 0
-        # Re-linking a fingerprint keeps the newest carrier even if the
-        # old one dies afterwards.
-        g1 = triangle_rich(seed=0, n=20)
-        g2 = triangle_rich(seed=1, n=20)
-        c.link_fingerprint(g1, "fp")
-        c.link_fingerprint(g2, "fp")
-        del g1
-        gc.collect()
-        assert c.resolve_fingerprint("fp") is g2
 
     def test_stats_delta(self):
         before = {"hits": 1, "misses": 2, "by_analysis": {"a": {"hits": 1, "misses": 2}}}
@@ -218,8 +173,8 @@ class TestSessionIntegration:
             "by_analysis": {},
         }
 
-    def test_run_sweep_bench_record_carries_analysis_counts(self):
-        from repro.runner.harness import SweepSpec, run_sweep
+    def test_run_sweep_bench_record_carries_analysis_counts(self, tmp_path):
+        from repro.runner.harness import SweepSpec, run_sweep, write_bench_record
 
         g = triangle_rich(seed=6)
         spec = SweepSpec(
@@ -230,7 +185,7 @@ class TestSessionIntegration:
             seeds=(0, 1, 2),
         )
         result = run_sweep(spec, graph_loader=lambda name: g)
-        record = result.bench_record()
+        record = json.loads(write_bench_record(result, tmp_path).read_text())
         assert record["analysis_misses"] >= 1
         assert record["analysis_hits"] >= 2
         # Per-grid detail: exactly one grid misses the triangle list.
@@ -243,15 +198,36 @@ class TestSessionIntegration:
         assert listing_misses == 1
 
 
-class TestSnapshotAdoption:
-    def test_store_reload_adopts_live_twin_analyses(self, tmp_path, cache):
+class TestSnapshotReload:
+    def test_store_reload_installs_fingerprint(self, tmp_path, cache):
         from repro.runner.store import ArtifactStore
 
         g = triangle_rich(seed=8)
-        tl = list_triangles(g)
+        list_triangles(g)
         store = ArtifactStore(tmp_path / "store")
         fp, _ = store.add_graph(g)
         reloaded = store.load_graph(fp)
         assert reloaded is not g
-        assert cache.peek(reloaded, "triangle_list") is tl
         assert cache.peek(reloaded, "fingerprint") == fp
+        # Analyses stay per object: the reload shares no triangle listing.
+        assert cache.peek(reloaded, "triangle_list") is None
+
+    def test_reload_fingerprint_is_not_recomputed(self, tmp_path, monkeypatch):
+        import repro.runner.fingerprint as fingerprint
+        from repro.runner.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        g = triangle_rich(seed=9)
+        fp, _ = store.add_graph(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+        def recompute(graph):
+            raise AssertionError("fingerprint recomputed")
+
+        monkeypatch.setattr(fingerprint, "_compute_fingerprint", recompute)
+        with pytest.raises(AssertionError, match="recomputed"):
+            fingerprint.graph_fingerprint(triangle_rich(seed=9))
+        assert fingerprint.graph_fingerprint(store.load_graph(fp)) == fp

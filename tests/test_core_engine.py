@@ -175,3 +175,46 @@ class TestRuntime:
         runtime = SlimGraphRuntime(NeverConverges(), max_rounds=3)
         result = runtime.run(er300)
         assert result.rounds == 3
+
+
+#: One configuration of every registered scheme that has a kernel program.
+KERNEL_SCHEMES = (
+    "low_degree(max_degree=1)",
+    "spanner(k=8)",
+    "spectral(p=0.5)",
+    "summarization(epsilon=0.3)",
+    "EO-0.8-1-TR",
+    "uniform(p=0.5)",
+    "vertex_sampling(p=0.7)",
+)
+
+
+class TestSchemeKernelBackends:
+    @pytest.mark.parametrize("spec", KERNEL_SCHEMES)
+    def test_chunked_and_process_backends_agree(self, plc300, spec):
+        """A scheme's kernel program gives the same graph on both
+        chunked backends."""
+        from repro.compress.registry import build_scheme
+
+        scheme = build_scheme(spec)
+        chunked, process = (
+            scheme.compress_via_kernels(plc300, seed=5, backend=backend, num_chunks=4).graph
+            for backend in ("chunked", "process")
+        )
+        assert chunked.n == process.n
+        assert np.array_equal(chunked.edge_src, process.edge_src)
+        assert np.array_equal(chunked.edge_dst, process.edge_dst)
+        if chunked.edge_weights is None:
+            assert process.edge_weights is None
+        else:
+            assert np.array_equal(chunked.edge_weights, process.edge_weights)
+
+    def test_every_kernel_scheme_is_covered(self):
+        from repro.compress.registry import build_scheme, registered_schemes
+
+        with_kernels = {
+            name
+            for name, entry in registered_schemes().items()
+            if build_scheme(entry.example).make_kernel() is not None
+        }
+        assert with_kernels == {build_scheme(spec).name for spec in KERNEL_SCHEMES}

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.analytics.session import Session
-from repro.obs.spans import disable_tracing, tracer, validate_trace
+from repro.obs.spans import disable_tracing, enable_tracing, tracer, validate_trace
 from repro.runner.harness import run_sweep, write_bench_record
 
 SCHEMES = ["uniform(p=0.5)", "spanner(k=8)"]
@@ -17,7 +17,7 @@ ALGS = ["pr", "cc"]
 
 @pytest.fixture(autouse=True)
 def tracing_off_afterwards():
-    """Session(trace=...) flips the process-global tracer; undo it."""
+    """enable_tracing() flips the process-global tracer; undo it."""
     yield
     disable_tracing()
     tracer().clear()
@@ -25,16 +25,10 @@ def tracing_off_afterwards():
 
 class TestTracedParallelGrid:
     def test_trace_spans_two_processes_and_stitches(self, plc300, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        session = Session(
-            plc300,
-            seed=1,
-            store=tmp_path / "store",
-            jobs=2,
-            trace=trace_path,
-        )
+        enable_tracing()
+        session = Session(plc300, seed=1, store=tmp_path / "store", jobs=2)
         session.grid(SCHEMES, ALGS)
-        path = session.write_trace()
+        path = tracer().write_chrome_trace(tmp_path / "trace.json")
         trace = json.loads(path.read_text())
         assert validate_trace(trace) == []
 
@@ -70,13 +64,6 @@ class TestTracedParallelGrid:
         for stats in workers.values():
             assert stats["load_seconds"] > 0.0
             assert stats["peak_rss_bytes"] > 0
-
-    def test_trace_true_enables_without_path(self, plc300):
-        session = Session(plc300, seed=1, trace=True)
-        session.compress("uniform(p=0.5)")
-        assert len(tracer()) >= 1
-        with pytest.raises(ValueError, match="path"):
-            session.write_trace()
 
     def test_untraced_session_records_nothing(self, plc300):
         tracer().clear()

@@ -72,15 +72,19 @@ class TestStoreRoundTrip:
         store.put_cells(key, PAYLOAD)
         assert store.get_cells(key) == PAYLOAD
 
-    def test_schema_version_mismatch_invalidates(self, tmp_path):
-        old = ArtifactStore(tmp_path / "s")
-        key = old.cell_key(FP, "uniform(p=0.5)", 0, "pr", ["kl"])
-        old.put_cells(key, PAYLOAD)
-        newer = ArtifactStore(tmp_path / "s", schema_version=SCHEMA_VERSION + 1)
-        assert newer.get_cells(key) is None
-        assert newer.stats.invalidated == 1
-        # The current-version store still reads its own record.
-        assert ArtifactStore(tmp_path / "s").get_cells(key) == PAYLOAD
+    def test_schema_version_mismatch_invalidates(self, store):
+        key = store.cell_key(FP, "uniform(p=0.5)", 0, "pr", ["kl"])
+        store.put_cells(key, PAYLOAD)
+        path = store._record_path(key)
+        record = json.loads(path.read_text())
+        assert record["schema_version"] == SCHEMA_VERSION
+        record["schema_version"] = SCHEMA_VERSION + 1
+        path.write_text(json.dumps(record))
+        assert store.get_cells(key) is None
+        assert store.stats.invalidated == 1
+        # A fresh put rewrites the record under the current version.
+        store.put_cells(key, PAYLOAD)
+        assert store.get_cells(key) == PAYLOAD
 
     def test_foreign_json_is_a_miss(self, store):
         key = store.cell_key(FP, "uniform(p=0.5)", 0, "pr", ["kl"])

@@ -384,6 +384,7 @@ class TestJobTimeout:
             record = q.submit(_spec())
             assert record.wait(30) and record.state == FAILED
             assert "timed out" in record.error
+            assert "never started" not in record.error
             assert record.attempts < 10
 
 

@@ -107,13 +107,6 @@ class TestFluentApi:
         with pytest.raises(ValueError):
             run.outputs("never_ran")
 
-    def test_kernel_backend_selected_in_session(self, plc300):
-        session = Session(plc300, seed=0, backend="chunked", num_chunks=4)
-        run = session.compress("uniform(p=0.5)", via="kernels")
-        assert run.graph.num_edges < plc300.num_edges
-        with pytest.raises(ValueError):
-            session.compress("uniform(p=0.5)", via="gpu")
-
 
 class TestSessionSweep:
     def test_spec_list_sweep(self, plc300):

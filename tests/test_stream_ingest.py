@@ -169,20 +169,6 @@ class TestGenerationCaching:
         assert len(list_triangles(g2)) == 2
         assert len(analysis_cache().peek(g1, "triangle_list")) == 1
 
-    def test_generations_adopt_analyses_through_the_store(self, tmp_path):
-        stream = GraphStream()
-        stream.apply(
-            EdgeDelta.build(inserts=[(0, 1), (0, 2), (1, 2)], num_vertices=3)
-        )
-        head = stream.head
-        list_triangles(head)  # populate the cache for this generation
-
-        store = ArtifactStore(tmp_path / "store")
-        fp, _ = store.add_graph(head, stream.head_fingerprint)
-        reloaded = store.load_graph(fp)
-        # content twin: adopted the live generation's triangle listing
-        assert analysis_cache().peek(reloaded, "triangle_list") is not None
-
     def test_store_keys_cells_per_generation(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         stream = GraphStream()

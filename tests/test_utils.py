@@ -94,12 +94,12 @@ class TestStopwatch:
         assert seconds >= 0.0
 
     def test_session_shares_the_helper(self):
-        # The session's historical `_timed` is the shared utils helper,
-        # not a private reimplementation.
+        # The session times runs with the shared utils helper, not a
+        # private reimplementation.
         from repro.analytics import session
         from repro.utils.timer import timed_call
 
-        assert session._timed is timed_call
+        assert session.timed_call is timed_call
 
 
 class TestValidation:
