@@ -383,7 +383,11 @@ class Session:
         jobs: int | None = None,
         retry=None,
     ):
-        self.graph = graph
+        self._graph = graph
+        #: Set only on a session built by :meth:`_of_stored`: the known
+        #: content fingerprint and the loader not yet called.
+        self._fingerprint: str | None = None
+        self._load = None
         self.seed = seed
         self.bfs_root = bfs_root
         self.pr_iterations = pr_iterations
@@ -412,9 +416,47 @@ class Session:
         #: the baseline-reuse guarantee is observable through this counter.
         self.baseline_computations = 0
 
+    @classmethod
+    def _of_stored(cls, fingerprint: str, load, **options) -> "Session":
+        """A session over a stored graph that loads only on first use.
+
+        ``load()`` returns the graph whose content fingerprint is
+        ``fingerprint``.  Grids probe the store under the known
+        fingerprint, so a grid whose every cell is stored never calls
+        it; the first compression or baseline of a missed cell (or a
+        pool's snapshot write) does.
+        """
+        session = cls(None, **options)
+        session._fingerprint = fingerprint
+        session._load = load
+        return session
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The original graph, loaded here on first use when lazy."""
+        if self._load is not None:
+            self._graph, self._load = self._load(), None
+        return self._graph
+
+    @property
+    def fingerprint(self) -> str:
+        """Content fingerprint of :attr:`graph`, the store's graph key.
+
+        A lazy session knows it without loading the graph.
+        """
+        if self._fingerprint is not None:
+            return self._fingerprint
+        from repro.runner.fingerprint import graph_fingerprint
+
+        return graph_fingerprint(self.graph)
+
     def __repr__(self) -> str:
+        if self._load is not None:
+            graph = f"<not loaded: fingerprint {self._fingerprint[:12]}>"
+        else:
+            graph = repr(self._graph)
         return (
-            f"Session(graph={self.graph!r}, seed={self.seed!r}, "
+            f"Session(graph={graph}, seed={self.seed!r}, "
             f"cached_baselines={len(self._baselines)})"
         )
 

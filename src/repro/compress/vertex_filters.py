@@ -21,12 +21,16 @@ __all__ = ["LowDegreeVertexRemoval", "LowDegreeKernel"]
 
 
 class LowDegreeKernel(VertexKernel):
-    """Listing 1, lines 24–25: drop vertices with degree 0 or 1."""
+    """Listing 1, lines 24–25: drop vertices of degree ≤ ``max_degree``
+    (the paper's kernel is ``max_degree=1``)."""
 
     name = "low_degree"
 
+    def __init__(self, max_degree: int = 1):
+        self.max_degree = max_degree
+
     def __call__(self, v, sg) -> None:
-        if v.deg in (0, 1):
+        if v.deg <= self.max_degree:
             sg.delete(v)
 
 
@@ -89,4 +93,8 @@ class LowDegreeVertexRemoval(CompressionScheme):
         )
 
     def make_kernel(self):
-        return LowDegreeKernel()
+        # One kernel pass is one round that leaves vertex ids in place;
+        # peeling to a fixpoint or relabeling has no kernel program.
+        if self.rounds != 1 or self.relabel:
+            return None
+        return LowDegreeKernel(self.max_degree)

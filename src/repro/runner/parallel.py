@@ -418,11 +418,7 @@ def run_grid(session, built, runners, plans, *, seed):
     with stopwatch() as wall:
         tasks = _make_tasks(session, built, runners, plans, seed)
 
-        fingerprint = None
-        if store is not None:
-            from repro.runner.fingerprint import graph_fingerprint
-
-            fingerprint = graph_fingerprint(session.graph)
+        fingerprint = session.fingerprint if store is not None else None
 
         results: dict[tuple[int, int], list[dict]] = {}
         perf = new_perf(jobs=jobs, cells_scheduled=len(tasks))
@@ -462,10 +458,18 @@ def run_grid(session, built, runners, plans, *, seed):
                 )
                 _store_put(store, key, {"cells": cells, "perf": cell_perf}, retry, rng, perf)
 
-        if pending and jobs > 1:
-            _run_pool(session, store, fingerprint, pending, jobs, harvest, retry, rng, perf)
-        elif pending:
-            _run_inline(session, built, pending, harvest, retry, rng, perf)
+        if pending:
+            # A lazy session loads its graph here, at the first miss and
+            # outside the retry loops, so a snapshot that fails to load
+            # fails the grid instead of quarantining its cells.
+            graph = session.graph
+            if jobs > 1:
+                _run_pool(
+                    session, graph, store, fingerprint, pending, jobs, harvest,
+                    retry, rng, perf,
+                )
+            else:
+                _run_inline(session, built, pending, harvest, retry, rng, perf)
 
         cells = _assemble(tasks, runners, results)
     # Flat copies of the analysis-cache totals, so they sum like the
@@ -551,7 +555,8 @@ def _run_inline(
 
 
 def _run_pool(
-    session, store, fingerprint, pending, jobs, harvest, retry: RetryPolicy, rng, perf
+    session, graph, store, fingerprint, pending, jobs, harvest, retry: RetryPolicy,
+    rng, perf,
 ) -> None:
     """Fan ``pending`` tasks over a process pool, streaming results back.
 
@@ -625,7 +630,7 @@ def _run_pool(
     tmpdir = None if store is not None else tempfile.mkdtemp(prefix="repro-grid-")
     try:
         snapshot_path = _write_snapshot(
-            session.graph, store, fingerprint, tmpdir, retry, rng, perf
+            graph, store, fingerprint, tmpdir, retry, rng, perf
         )
         while ready or window:
             now = time.monotonic()

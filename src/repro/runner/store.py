@@ -353,6 +353,10 @@ class ArtifactStore:
 
         The fingerprint the graph was stored under goes into the analysis
         cache, so fingerprinting the reloaded graph never hashes it again.
+
+        A ``fingerprint:<hex>`` service job calls this only when one of
+        its cells misses (:func:`repro.service.jobs.execute_job`); a fully
+        warm job replays its cells without reading the snapshot.
         """
         path = self.graph_path(fingerprint)
         if path is None:

@@ -17,12 +17,15 @@ hash to the same :attr:`JobSpec.job_key`.  That key is what the service
 queue dedupes in-flight work by: it names the same computation the store
 cells underneath it are keyed by.
 
-:func:`execute_job` is the one scheduler.  It loads the job's graph
-(dataset name, or a ``fingerprint:<hex>`` reference into a store
-snapshot), builds a :class:`~repro.analytics.session.Session`, and sweeps
-the grid seed by seed — store replay and process-pool fan-out included —
-returning the :class:`~repro.analytics.grid.SweepTable` plus the same
-perf counters the BENCH records carry.
+:func:`execute_job` is the one scheduler.  It builds a
+:class:`~repro.analytics.session.Session` over the job's graph (a dataset
+name, or a ``fingerprint:<hex>`` reference into a store snapshot) and
+sweeps the grid seed by seed — store replay and process-pool fan-out
+included — returning the :class:`~repro.analytics.grid.SweepTable` plus
+the same perf counters the BENCH records carry.  A dataset name is
+loaded up front; a ``fingerprint:`` reference already is the store's
+cell key, so its snapshot is loaded only when a cell misses, and a fully
+warm job never reads it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.algorithms.registry import DEFAULT_BATTERY
@@ -251,9 +255,13 @@ class JobSpec:
             "seeds": sorted(set(self.seeds)),
         }
 
-    @property
+    @cached_property
     def job_key(self) -> str:
-        """Hex SHA-256 of the canonical JSON; the queue's dedupe key."""
+        """Hex SHA-256 of the canonical JSON; the queue's dedupe key.
+
+        Computed once per spec: submission, dedupe and the job's perf
+        record all read it.
+        """
         return hashlib.sha256(
             json.dumps(
                 self.canonical_dict(), sort_keys=True, separators=(",", ":")
@@ -311,13 +319,15 @@ def load_job_graph(job: JobSpec, *, store=None, graph_loader=None):
             )
         graph = store.load_graph(fingerprint)
         if graph is None:
-            raise ValueError(
-                f"no snapshot for {job.graph!r} in store {store.root}"
-            )
+            raise _no_snapshot(job, store)
         return graph
     from repro.graphs import datasets
 
     return datasets.load(job.graph, seed=job.graph_seed)
+
+
+def _no_snapshot(job: JobSpec, store) -> ValueError:
+    return ValueError(f"no snapshot for {job.graph!r} in store {store.root}")
 
 
 def execute_job(
@@ -336,13 +346,19 @@ def execute_job(
     :data:`~repro.runner.parallel.PERF_COUNTERS` counter and both
     manifests), plus ``job_key``, ``graph``, ``seeds``, ``cells``,
     ``wall_seconds`` and one ``grids`` entry per seed.
+
+    A ``fingerprint:<hex>`` job run against a store (and no
+    ``graph_loader``) loads its snapshot only when a cell misses: the
+    store keys cells by that fingerprint, so a fully warm job never
+    reads the snapshot, and succeeds even over a damaged one.  A job
+    that has to compute over a damaged snapshot fails with "no snapshot"
+    at its first miss; a store without the snapshot fails it up front.
+    Dataset names and ``graph_loader`` jobs load their graph first.
     """
     from repro.analytics.session import Session
 
     store = ArtifactStore.of(store)
-    graph = load_job_graph(job, store=store, graph_loader=graph_loader)
-    session = Session(
-        graph,
+    options = dict(
         seed=job.seeds[0],
         bfs_root=job.bfs_root,
         pr_iterations=job.pr_iterations,
@@ -350,6 +366,20 @@ def execute_job(
         jobs=jobs,
         retry=retry,
     )
+    if (
+        graph_loader is None
+        and store is not None
+        and job.graph.startswith(FINGERPRINT_PREFIX)
+    ):
+        fingerprint = job.graph[len(FINGERPRINT_PREFIX):]
+        if store.graph_path(fingerprint) is None:
+            raise _no_snapshot(job, store)
+        session = Session._of_stored(
+            fingerprint, lambda: load_job_graph(job, store=store), **options
+        )
+    else:
+        graph = load_job_graph(job, store=store, graph_loader=graph_loader)
+        session = Session(graph, **options)
     cells = []
     grids = []
     perf = new_perf(job_key=job.job_key, graph=job.graph, seeds=list(job.seeds))

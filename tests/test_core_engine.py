@@ -218,3 +218,42 @@ class TestSchemeKernelBackends:
             if build_scheme(entry.example).make_kernel() is not None
         }
         assert with_kernels == {build_scheme(spec).name for spec in KERNEL_SCHEMES}
+
+
+class TestLowDegreeKernelProgram:
+    @pytest.mark.parametrize("backend", ["serial", "chunked", "process"])
+    @pytest.mark.parametrize("max_degree", [0, 1, 5, 8])
+    def test_kernel_program_equals_fast_path(self, plc300, er300, max_degree, backend):
+        """One kernel pass drops exactly the vertices ``compress`` drops
+        in its one round, whatever ``max_degree`` is."""
+        from repro.compress.registry import build_scheme
+
+        scheme = build_scheme(f"low_degree(max_degree={max_degree})")
+        for g in (plc300, er300):
+            fast = scheme.compress(g).graph
+            kernel = scheme.compress_via_kernels(
+                g, seed=5, backend=backend, num_chunks=4
+            ).graph
+            assert kernel.n == fast.n
+            assert np.array_equal(kernel.edge_src, fast.edge_src)
+            assert np.array_equal(kernel.edge_dst, fast.edge_dst)
+
+    def test_max_degree_reaches_the_kernel(self, plc300):
+        from repro.compress.registry import build_scheme
+
+        kept = build_scheme("low_degree(max_degree=5)").compress_via_kernels(plc300)
+        assert kept.graph.num_edges == 1095 < plc300.num_edges
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "low_degree(max_degree=1, rounds=none)",
+            "low_degree(max_degree=1, rounds=2)",
+            "low_degree(max_degree=1, relabel=true)",
+        ],
+    )
+    def test_settings_one_pass_cannot_express_have_no_program(self, plc300, spec):
+        from repro.compress.registry import build_scheme
+
+        with pytest.raises(NotImplementedError, match="has no kernel program"):
+            build_scheme(spec).compress_via_kernels(plc300)

@@ -77,6 +77,26 @@ class TestIdentity:
         # ...but is irrelevant (same key) for source-free algorithms.
         assert _job(bfs_root=3).job_key == _job().job_key
 
+    def test_job_key_is_pinned_and_computed_once(self, monkeypatch):
+        import pickle
+        from dataclasses import replace
+
+        job = _job()
+        # The hex is the queue's dedupe key and a stored job's identity:
+        # pinning it catches any change to the canonical form.
+        key = "4fb7f95e97d3ace6db40c1284a4334423b73b2097a0a65fcbec98ae6f57ebcc4"
+        assert job.job_key == key
+
+        def fail(self):
+            raise AssertionError("job_key recomputed")
+
+        monkeypatch.setattr(JobSpec, "canonical_dict", fail)
+        assert job.job_key == key
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and hash(clone) == hash(job)
+        assert clone.job_key == key
+        assert replace(job) == job and hash(replace(job)) == hash(job)
+
     def test_pr_iterations_fold_into_identity(self):
         assert (
             _job(algorithms=["pagerank(max_iterations=100)"]).job_key
@@ -241,3 +261,111 @@ class TestExecution:
         job = _job(graph=f"{FINGERPRINT_PREFIX}{'a' * 64}")
         with pytest.raises(ValueError, match="no snapshot"):
             load_job_graph(job, store=store)
+
+
+def _cell_files(store) -> dict:
+    return {
+        str(p.relative_to(store.root)): p.read_bytes()
+        for p in sorted((store.root / "cells").rglob("*.json"))
+    }
+
+
+def _values(table) -> list:
+    return [
+        (c.scheme, c.algorithm, c.metric, c.seed, c.value, c.compression_ratio)
+        for c in table
+    ]
+
+
+class TestLazyFingerprintJobs:
+    """A ``fingerprint:`` job loads its snapshot only when a cell misses."""
+
+    @pytest.fixture
+    def stored(self, graph, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        fingerprint, _ = store.add_graph(graph)
+        return store, _job(graph=f"{FINGERPRINT_PREFIX}{fingerprint}")
+
+    @staticmethod
+    def forbid_snapshot_reads(monkeypatch):
+        import repro.graphs.snapshot
+        import repro.runner.store
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("snapshot read by a fully warm job")
+
+        monkeypatch.setattr(ArtifactStore, "load_graph", refuse)
+        monkeypatch.setattr(repro.graphs.snapshot, "load_snapshot", refuse)
+        monkeypatch.setattr(repro.runner.store, "load_snapshot", refuse)
+
+    def test_warm_job_never_reads_the_snapshot(self, stored, monkeypatch):
+        store, job = stored
+        cold = execute_job(job, store=store)
+        self.forbid_snapshot_reads(monkeypatch)
+        warm = execute_job(job, store=store)
+        assert warm.perf["cache_hits"] == job.cell_groups()
+        assert warm.perf["cache_misses"] == 0
+        assert warm.table.to_dict() == cold.table.to_dict()
+
+    def test_cold_job_loads_once_and_never_hashes(self, stored, monkeypatch):
+        import repro.runner.fingerprint
+        import repro.runner.store
+
+        store, job = stored
+        loads = []
+        real = repro.runner.store.load_snapshot
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return real(*args, **kwargs)
+
+        def refuse(g):
+            raise AssertionError("a stored graph's fingerprint was recomputed")
+
+        monkeypatch.setattr(repro.runner.store, "load_snapshot", counting)
+        monkeypatch.setattr(repro.runner.fingerprint, "_compute_fingerprint", refuse)
+        result = execute_job(job, store=store)
+        assert result.perf["cache_misses"] == job.cell_groups()
+        assert len(loads) == 1
+
+    def test_lazy_cold_job_matches_eager_job(self, graph, loader, stored):
+        store, job = stored
+        lazy = execute_job(job, store=store)
+        eager = execute_job(_job(), graph_loader=loader)
+        assert _values(lazy.table) == _values(eager.table)
+
+    def test_missing_snapshot_fails_a_warm_job(self, stored):
+        import shutil
+
+        store, job = stored
+        execute_job(job, store=store)
+        shutil.rmtree(store.root / "graphs")
+        with pytest.raises(ValueError, match="no snapshot"):
+            execute_job(job, store=store)
+
+    def test_damaged_snapshot_fails_only_jobs_that_compute(self, stored):
+        store, job = stored
+        cold = execute_job(job, store=store)
+        for sidecar in store.graph_path(job.graph.split(":", 1)[1]).glob("*.npy"):
+            sidecar.unlink()
+        # Cells are keyed by content, so the warm job still replays them.
+        warm = execute_job(job, store=store)
+        assert warm.table.to_dict() == cold.table.to_dict()
+        with pytest.raises(ValueError, match="no snapshot"):
+            execute_job(_job(graph=job.graph, seeds=[7]), store=store)
+
+    def test_pooled_lazy_job_matches_inline(self, graph, stored, tmp_path, monkeypatch):
+        store, job = stored
+        inline_store = ArtifactStore(tmp_path / "inline")
+        inline_store.add_graph(graph)
+        inline = execute_job(job, store=inline_store)
+        pooled = execute_job(job, store=store, jobs=2)
+        assert _values(pooled.table) == _values(inline.table)
+        assert _cell_files(store).keys() == _cell_files(inline_store).keys()
+        before = _cell_files(store)
+        self.forbid_snapshot_reads(monkeypatch)
+        warm = execute_job(job, store=store, jobs=2)
+        assert warm.perf["cache_misses"] == 0
+        assert warm.table.to_dict() == pooled.table.to_dict()
+        assert _cell_files(store) == before
+
