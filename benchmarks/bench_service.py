@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -197,24 +198,29 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     job = SMOKE_JOB if args.smoke else FULL_JOB
 
-    store = Path(tempfile.mkdtemp(prefix="repro-bench-service-")) / "store"
-    fingerprint_job = publish_graph(store, job)
-    process, base = _boot(store, args.jobs)
-    print(f"service up at {base} (store: {store})")
+    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-service-"))
+    store = workdir / "store"
     try:
-        perf = {
-            "mode": "smoke" if args.smoke else "full",
-            "workers": args.jobs,
-            "job": job,
-            "latency": bench_cold_vs_warm(base, job),
-            "fingerprint_job": fingerprint_job,
-            "fingerprint_latency": bench_cold_vs_warm(base, fingerprint_job),
-            "coalesce": bench_coalesce(base, job),
-        }
-    except BaseException:
-        process.kill()
-        raise
-    perf["shutdown"] = bench_shutdown(process)
+        fingerprint_job = publish_graph(store, job)
+        process, base = _boot(store, args.jobs)
+        print(f"service up at {base} (store: {store})")
+        try:
+            perf = {
+                "mode": "smoke" if args.smoke else "full",
+                "workers": args.jobs,
+                "job": job,
+                "latency": bench_cold_vs_warm(base, job),
+                "fingerprint_job": fingerprint_job,
+                "fingerprint_latency": bench_cold_vs_warm(base, fingerprint_job),
+                "coalesce": bench_coalesce(base, job),
+            }
+        except BaseException:
+            process.kill()
+            process.wait()
+            raise
+        perf["shutdown"] = bench_shutdown(process)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
     path = write_perf_record("service", perf, args.out)
     latency = perf["latency"]

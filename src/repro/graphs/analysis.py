@@ -23,6 +23,18 @@ structures **per graph object**:
 Analyses register with the :func:`cached_analysis` decorator; only the
 bare one-argument form ``fn(graph)`` is memoized — parameterized calls
 pass straight through.
+
+Identity keying means a child never *reads* its parent's entries, but
+the cache can still say how a child relates to its parent.
+:meth:`~repro.graphs.csr.CSRGraph.keep_edges` records a **lineage** link
+``(weakref(parent), keep mask)`` on the child (:func:`record_lineage`),
+and :func:`lineage_parent` returns that parent with the mask while the
+parent is alive and has been counted.  An edge subgraph's triangles are
+exactly its parent's triangles whose three edges survive, so the
+triangle count of a sampled graph is derived from the parent's cached
+triangle edge ids (:mod:`repro.algorithms.triangles`) instead of being
+recounted.  Links hold the parent weakly — a child never pins its
+parent — and a dead parent means no derivation.
 """
 
 from __future__ import annotations
@@ -37,6 +49,9 @@ __all__ = [
     "AnalysisCache",
     "analysis_cache",
     "cached_analysis",
+    "inherit_lineage",
+    "lineage_parent",
+    "record_lineage",
     "stats_delta",
 ]
 
@@ -95,6 +110,15 @@ class AnalysisCache:
         entry = self._entry(graph)
         if entry is not None:
             entry[name] = value
+
+    def _peek_silently(self, graph, name: str):
+        """The cached value or None, counting nothing (bookkeeping reads
+        such as lineage links are not analysis reuse)."""
+        try:
+            entry = self._entries.get(graph)
+        except TypeError:
+            return None
+        return None if entry is None else entry.get(name)
 
     def _entry(self, graph) -> dict | None:
         try:
@@ -166,6 +190,45 @@ def cached_analysis(name: str):
         return wrapper
 
     return decorate
+
+
+_LINEAGE = "lineage"
+
+
+def record_lineage(child, parent, keep_mask) -> None:
+    """Note that ``child`` is ``parent`` restricted to the edges where the
+    boolean ``keep_mask`` (one entry per parent edge) is True.
+
+    Stores ``(weakref(parent), frozen copy of keep_mask)`` — no
+    composition with the parent's own link, so the cost is one small
+    copy per derived graph.
+    """
+    mask = keep_mask.copy()
+    mask.flags.writeable = False
+    _CACHE.put(child, _LINEAGE, (weakref.ref(parent), mask))
+
+
+def inherit_lineage(child, source) -> None:
+    """Give ``child`` the lineage link of ``source``, a graph with the same
+    edges and edge ids (for example the same edges reweighted)."""
+    link = _CACHE._peek_silently(source, _LINEAGE)
+    if link is not None:
+        _CACHE.put(child, _LINEAGE, link)
+
+
+def lineage_parent(graph, names):
+    """``(parent, mask)`` when the lineage parent of ``graph`` is alive and
+    already caches one of the analyses ``names``; else ``None``.
+
+    ``mask`` marks, among the parent's edges, the ones ``graph`` keeps
+    (its edges in parent edge-id order).  A graph without a link, or
+    whose parent has died, has no parent to derive from.
+    """
+    link = _CACHE._peek_silently(graph, _LINEAGE)
+    parent = None if link is None else link[0]()
+    if parent is None or all(_CACHE._peek_silently(parent, n) is None for n in names):
+        return None
+    return parent, link[1]
 
 
 def stats_delta(before: dict, after: dict) -> dict:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.analysis import inherit_lineage, record_lineage
+
 __all__ = ["CSRGraph"]
 
 
@@ -366,6 +368,11 @@ class CSRGraph:
         parallel edges, no self-loops), without the O(m log m) sort or
         re-validation.  See :meth:`_keep_edges_rebuild` for the legacy
         path kept as the equivalence/benchmark reference.
+
+        The child's lineage ``(weakref(self), copy of keep_mask)`` is
+        recorded in the analysis cache, so triangle counts of the child
+        can be read off this graph's triangles
+        (:func:`repro.graphs.analysis.lineage_parent`).
         """
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != self.edge_src.shape:
@@ -380,7 +387,7 @@ class CSRGraph:
         arc_idx = np.flatnonzero(arc_keep)
         edge_idx = np.flatnonzero(keep_mask)
         w = None if self.edge_weights is None else self.edge_weights[edge_idx]
-        return CSRGraph._from_parts(
+        child = CSRGraph._from_parts(
             self.n,
             self.edge_src[edge_idx],
             self.edge_dst[edge_idx],
@@ -390,6 +397,8 @@ class CSRGraph:
             indices=self.indices[arc_idx],
             arc_edge_ids=new_id[self.arc_edge_ids[arc_idx]],
         )
+        record_lineage(child, self, keep_mask)
+        return child
 
     def _keep_edges_rebuild(self, keep_mask: np.ndarray) -> "CSRGraph":
         """Legacy O(m log m) :meth:`keep_edges`: slice the edge arrays and
@@ -442,6 +451,8 @@ class CSRGraph:
         Both forms are sort-free O(m): the edge drop rides
         :meth:`keep_edges`, and compaction renumbers through a *monotone*
         map, which preserves every sorted order the CSR invariants need.
+        Only the ``relabel=False`` result keeps :meth:`keep_edges`'s
+        lineage; a renumbered graph has none.
         """
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64).ravel()
         if len(vertex_ids):
@@ -682,12 +693,14 @@ class CSRGraph:
 
         The adjacency arrays are shared with ``self`` (graphs are
         immutable), so this is O(m) in the weight copy only — no rebuild.
+        Edge ids are unchanged, so the result inherits ``self``'s lineage
+        link (a reweighted sample keeps its derived triangle counts).
         """
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
             if weights.shape != self.edge_src.shape:
                 raise ValueError("edge_weights must match the number of edges")
-        return CSRGraph._from_parts(
+        g = CSRGraph._from_parts(
             self.n,
             self.edge_src,
             self.edge_dst,
@@ -697,6 +710,8 @@ class CSRGraph:
             indices=self.indices,
             arc_edge_ids=self.arc_edge_ids,
         )
+        inherit_lineage(g, self)
+        return g
 
     def relabeled(self, mapping: np.ndarray, num_new: int, *, dedup: str = "first") -> "CSRGraph":
         """Contract vertices through ``mapping`` (old id -> new id).

@@ -345,7 +345,7 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             msgs = [f"raised {type(err).__name__}: {err}"]
         return [f"{label}: {m}" for m in msgs]
 
-    checks += 5
+    checks += 6
     failures.extend(
         guarded(
             "tr_connectivity",
@@ -371,6 +371,12 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
     )
     failures.extend(
         guarded("triangle_list_identity", lambda: properties.triangle_list_identity(g))
+    )
+    failures.extend(
+        guarded(
+            "triangle_derive_identity",
+            lambda: properties.triangle_derive_identity(g, seed=case.seed),
+        )
     )
 
     # Streaming metamorphic invariant: every delta family × a spanner,

@@ -7,7 +7,8 @@ consistent vertex alignment, EO-Triangle-Reduction preserves
 connectivity (§6.1), spanners bound distance stretch, chain lineages
 compose stage by stage, the sort-free transform fast paths are
 buffer-identical to the legacy rebuild, summarization and triangle
-listing match their references, snapshot/store round trips are
+listing match their references, triangle counts derived along a
+sampling lineage match the sparse count, snapshot/store round trips are
 fingerprint-stable, and parallel grids equal in-memory grids.
 
 Every check returns a list of human-readable violation strings (empty =
@@ -426,6 +427,32 @@ def triangle_list_identity(g: CSRGraph) -> list[str]:
         for name in ("vertices", "edge_ids")
         if not np.array_equal(getattr(got, name), getattr(ref, name))
     ]
+
+
+#: The seeded chain :func:`triangle_derive_identity` samples: each stage
+#: is an edge subgraph of the one before.
+_DERIVE_CHAIN = ("uniform(p=0.7)", "low_degree(max_degree=2)", "spectral(p=0.6)")
+
+
+def triangle_derive_identity(g: CSRGraph, *, seed=0) -> list[str]:
+    """A triangle count derived from a counted lineage parent must equal
+    the sparse count at every stage of a seeded sampling chain over
+    ``g``; the stages are counted in order, so each derives from the
+    stage before it."""
+    from repro.algorithms import triangles
+    from repro.graphs.analysis import lineage_parent
+
+    triangles.count_triangles(g)  # the counted parent of the first stage
+    out: list[str] = []
+    parent = g
+    for i, spec in enumerate(_DERIVE_CHAIN):
+        child = build_scheme(spec).compress(parent, seed=seed + i).graph
+        if child is not parent and lineage_parent(child, triangles._DERIVATION_SOURCES) is None:
+            out.append(f"after {spec}: no counted parent to derive from")
+        if triangles.count_triangles(child) != triangles._sparse_triangle_count(child):
+            out.append(f"after {spec}: derived count differs from the sparse one")
+        parent = child
+    return out
 
 
 def snapshot_roundtrip(g: CSRGraph, directory) -> list[str]:

@@ -3,7 +3,10 @@
 Covers the cache contract (identity keying, weak entries, hit/miss
 accounting, the fingerprint a store reload installs), mutation-free
 invalidation (a derived
-graph never sees its parent's cached triangles), and the headline reuse
+graph never sees its parent's cached triangles), lineage derivation (an
+edge subgraph's triangle count read off its counted parent equals the
+sparse count, which runs instead without a live counted parent), and
+the headline reuse
 guarantee: a multi-seed TR sweep lists the original graph's triangles
 exactly once, observable through cache stats and BENCH perf records.
 """
@@ -16,13 +19,19 @@ import numpy as np
 import pytest
 
 from repro.algorithms.triangles import (
+    _DERIVATION_SOURCES,
+    _sparse_triangle_count,
     count_triangles,
     edge_triangle_counts,
     list_triangles,
+    triangle_edge_columns,
 )
 from repro.analytics.session import Session
+from repro.compress.registry import build_scheme
 from repro.graphs import generators as gen
-from repro.graphs.analysis import AnalysisCache, analysis_cache, stats_delta
+from repro.graphs.analysis import AnalysisCache, analysis_cache, lineage_parent, stats_delta
+from repro.graphs.weights import with_uniform_weights
+from repro.verify.oracles import oracle_triangle_list
 
 
 @pytest.fixture
@@ -134,6 +143,101 @@ class TestTriangleAnalyses:
         assert child_list.count <= parent_list.count  # subgraph monotone
         # And the parent's entry was left untouched.
         assert cache.peek(g, "triangle_list") is parent_list
+
+
+GRID_SAMPLING_SCHEMES = (
+    "uniform(p=0.5)",
+    "uniform(p=0.8)",
+    "spectral(p=0.5)",
+    "low_degree(max_degree=1)",
+    "vertex_sampling(p=0.5)",
+)
+
+
+@pytest.fixture(scope="module")
+def sampled_root():
+    """A weighted graph of v-ewk's size (8192 vertices, ~65k edges)."""
+    return with_uniform_weights(gen.powerlaw_cluster(8192, 8, 0.5, seed=11), seed=12)
+
+
+def derives(g) -> bool:
+    return lineage_parent(g, _DERIVATION_SOURCES) is not None
+
+
+class TestLineageDerivation:
+    """An edge subgraph's triangle count is read off its counted parent's
+    triangle edge ids, and always equals the sparse count."""
+
+    @pytest.mark.parametrize("spec", GRID_SAMPLING_SCHEMES)
+    def test_derived_count_equals_sparse(self, sampled_root, spec):
+        count_triangles(sampled_root)
+        for seed in (0, 1, 2):
+            child = build_scheme(spec).compress(sampled_root, seed=seed).graph
+            if child is not sampled_root:
+                assert derives(child)
+            assert count_triangles(child) == _sparse_triangle_count(child)
+
+    def test_chain_derives_from_the_counted_parent(self, cache):
+        g = triangle_rich(seed=13)
+        count_triangles(g)
+        rng = np.random.default_rng(1)
+        mid = g.keep_edges(rng.random(g.num_edges) < 0.8)
+        child = mid.keep_edges(rng.random(mid.num_edges) < 0.7)
+        child = child.with_weights(np.ones(child.num_edges))  # same edge ids
+        assert derives(mid) and not derives(child)  # no reach past mid to g
+        assert count_triangles(mid) == _sparse_triangle_count(mid)  # from g
+        parent, mask = lineage_parent(child, _DERIVATION_SOURCES)
+        assert parent is mid and mask.sum() == child.num_edges
+        assert count_triangles(child) == _sparse_triangle_count(child)
+        assert cache.peek(mid, "triangle_edge_columns") is not None
+
+    def test_child_never_pins_its_parent(self):
+        parent = triangle_rich(seed=14)
+        count_triangles(parent)
+        child = parent.keep_edges(np.random.default_rng(2).random(parent.num_edges) < 0.5)
+        want = _sparse_triangle_count(child)
+        ref = weakref.ref(parent)
+        del parent
+        gc.collect()
+        assert ref() is None
+        assert not derives(child)
+        assert count_triangles(child) == want
+
+    def test_relabelled_graph_counts_sparse(self):
+        g = triangle_rich(seed=15)
+        count_triangles(g)
+        kept = g.remove_vertices([0, 1, 2])
+        relabelled = g.remove_vertices([0, 1, 2], relabel=True)
+        assert derives(kept)
+        assert not derives(relabelled)
+        assert count_triangles(relabelled) == count_triangles(kept)
+
+    def test_uncounted_root_builds_no_table(self, cache):
+        g = triangle_rich(seed=16)
+        child = g.keep_edges(np.random.default_rng(3).random(g.num_edges) < 0.5)
+        before = cache.stats()
+        assert count_triangles(child) == _sparse_triangle_count(child)
+        delta = stats_delta(before, cache.stats())
+        assert "triangle_edge_columns" not in delta["by_analysis"]
+        assert cache.peek(g, "triangle_edge_columns") is None
+        assert cache.peek(g, "triangle_count") is None
+
+    def test_list_is_never_derived(self):
+        g = triangle_rich(seed=17)
+        count_triangles(g)
+        child = g.keep_edges(np.random.default_rng(4).random(g.num_edges) < 0.5)
+        count_triangles(child)
+        got, want = list_triangles(child), oracle_triangle_list(child)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.edge_ids, want.edge_ids)
+
+    def test_edge_columns_match_the_list(self):
+        g = triangle_rich(seed=18)
+        columns = triangle_edge_columns(g)
+        edge_ids = list_triangles(g).edge_ids
+        for k in range(3):
+            assert columns[k].dtype == np.int32 and columns[k].flags.c_contiguous
+            assert np.array_equal(columns[k], edge_ids[:, k])
 
 
 class TestSessionIntegration:

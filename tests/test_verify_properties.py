@@ -197,6 +197,25 @@ class TestPipelineInvariants:
         assert any("triangle vertices differ" in m for m in msgs)
         assert any("triangle edge_ids differ" in m for m in msgs)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_triangle_derive_identity(self, plc300, plc_weighted, seed):
+        assert properties.triangle_derive_identity(plc300, seed=seed) == []
+        assert properties.triangle_derive_identity(plc_weighted, seed=seed) == []
+
+    def test_triangle_derive_identity_catches_a_bad_mask(self, monkeypatch):
+        from repro.algorithms import triangles
+
+        lineage_parent = triangles.lineage_parent
+
+        def keep_everything(g, names):
+            found = lineage_parent(g, names)
+            return None if found is None else (found[0], np.ones_like(found[1]))
+
+        monkeypatch.setattr(triangles, "lineage_parent", keep_everything)
+        msgs = properties.triangle_derive_identity(gen.powerlaw_cluster(200, 4, 0.6, seed=1))
+        assert any("derived count differs" in m for m in msgs), msgs
+
+
 class TestRoundTrips:
     def test_snapshot_roundtrip(self, plc300, tmp_path):
         assert properties.snapshot_roundtrip(plc300, tmp_path) == []
