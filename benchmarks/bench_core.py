@@ -18,7 +18,12 @@ paper experiments end to end):
   sparse ``(L @ L) ∘ L`` count,
   and the heap-Dijkstra LDD (:func:`repro.verify.oracles.oracle_ldd`)
   against the numpy frontier rounds the spanner runs, with outputs
-  asserted equal.
+  asserted equal;
+- **summarization** — one ε = 0.4 summarization call split into its
+  stages (minhash clustering, encoding, the budget walk, decompression)
+  and timed whole, on the v-ewk stand-in and, in full mode, on
+  ``powerlaw_cluster(2**17, 8, 0.5, seed=3)`` (about 1e6 edges); the
+  staged call must decompress to the whole call's graph.
 
 Emits ``BENCH_core.json`` through the shared perf-record machinery
 (:func:`repro.runner.harness.write_perf_record`), so the record carries
@@ -50,13 +55,20 @@ from repro.algorithms.triangles import (
     _sparse_triangle_count,
 )
 from repro.analytics.session import Session
-from repro.compress.mappings import beta_for_spanner, low_diameter_decomposition
+from repro.compress.mappings import (
+    beta_for_spanner,
+    jaccard_minhash_clustering,
+    low_diameter_decomposition,
+)
 from repro.compress.registry import build_scheme
+from repro.compress.summarization import LossySummarization
+from repro.graphs import datasets
 from repro.graphs import generators as gen
 from repro.graphs.analysis import analysis_cache, stats_delta
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weights import with_uniform_weights
 from repro.runner.harness import write_perf_record
+from repro.utils.rng import as_generator
 from repro.verify.oracles import oracle_ldd
 
 #: Edge counts exercised by the transform/chain sections.
@@ -266,6 +278,75 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
     return rows
 
 
+#: Summarization stages, in call order.
+SUMMARY_STAGES = ("cluster", "encode", "walk", "decompress")
+
+
+def _summary_stages(scheme: LossySummarization, g: CSRGraph, seed: int) -> dict:
+    """Seconds per stage of one ``scheme.compress(g, seed=seed)``, run
+    stage by stage with the same draws."""
+    rng = as_generator(seed)
+    marks = [time.perf_counter()]
+    mapping = jaccard_minhash_clustering(
+        g,
+        threshold=scheme.threshold,
+        max_cluster_size=scheme.max_cluster_size,
+        num_hashes=scheme.num_hashes,
+        seed=rng,
+    )
+    marks.append(time.perf_counter())
+    summary = scheme._encode(g, mapping)
+    marks.append(time.perf_counter())
+    summary = scheme._drop_corrections(g, summary, rng)
+    marks.append(time.perf_counter())
+    approx = summary.decompress()
+    marks.append(time.perf_counter())
+    whole = scheme.compress(g, seed=seed).graph
+    for name in ("indptr", "indices", "arc_edge_ids"):
+        assert np.array_equal(getattr(approx, name), getattr(whole, name)), name
+    return {
+        f"{stage}_seconds": end - start
+        for stage, start, end in zip(SUMMARY_STAGES, marks, marks[1:])
+    }
+
+
+def bench_summarization(smoke: bool, repeats: int) -> list[dict]:
+    """One ε = 0.4 summarization call per seed: stage and whole-call
+    medians over seeds 1..repeats (cost varies with the seed)."""
+    inputs = [("v-ewk", lambda: datasets.load("v-ewk", seed=0))]
+    if not smoke:
+        inputs.append(
+            (
+                "powerlaw_cluster(2**17, 8, 0.5, seed=3)",
+                lambda: gen.powerlaw_cluster(2**17, 8, 0.5, seed=3),
+            )
+        )
+    scheme = LossySummarization(0.4)
+    seeds = list(range(1, repeats + 1))
+    rows = []
+    for name, build in inputs:
+        g = build()
+        staged = [_summary_stages(scheme, g, seed) for seed in seeds]
+        whole = []
+        for seed in seeds:
+            start = time.perf_counter()
+            scheme.compress(g, seed=seed)
+            whole.append(time.perf_counter() - start)
+        row = {"graph": name, "n": g.n, "m": g.num_edges, "epsilon": 0.4, "seeds": seeds}
+        for key in staged[0]:
+            row[key] = statistics.median(s[key] for s in staged)
+        row["whole_seconds"] = statistics.median(whole)
+        rows.append(row)
+        print(
+            f"summarization {name} m={g.num_edges:,}: "
+            + "   ".join(
+                f"{stage} {row[f'{stage}_seconds'] * 1e3:8.2f} ms"
+                for stage in (*SUMMARY_STAGES, "whole")
+            )
+        )
+    return rows
+
+
 def bench_obs_overhead(m: int, repeats: int) -> dict:
     """Instrumentation cost: the spanned transform path, tracer off vs on.
 
@@ -357,6 +438,7 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
         "triangle_cache": bench_triangle_cache(smoke),
         "chains": bench_chains(sizes, repeats),
         "algorithms": bench_algorithms(sizes, repeats),
+        "summarization": bench_summarization(smoke, repeats),
         "obs_overhead": bench_obs_overhead(sizes[-1], max(repeats, 5)),
     }
     largest = perf["transforms"][-1]

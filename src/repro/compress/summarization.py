@@ -21,11 +21,25 @@ neighborhood differs from the original by at most ε·d(v) — and Table 3's
 "m ± 2εm" row, since Σ_v ε·d(v) = 2εm.  Dropping a ⁺ correction loses a
 real edge; dropping a ⁻ correction *inserts a fake edge* — summarization
 is the one scheme that can add edges and disconnect anything (§6.3).
+
+Everything from the encoder to decompression runs on ``(k, 2)`` int64
+pair arrays.  The budget walk is greedy b-matching in a random order:
+visit the pairs in one ``rng.permutation`` order and drop a pair while
+both endpoints have budget left.  :func:`_budget_walk` runs it in rounds
+(random-order greedy settles in few dependency rounds; Blelloch, Fineman
+& Shun, SPAA 2012) and returns exactly what the sequential loop returns.
+A pair's outcome depends only on the dropped pairs before it at its two
+endpoints.  With ``d`` the pairs already dropped before it at an endpoint
+and ``u`` the undecided ones, the final count lies in ``[d, d + u]``, so
+the pair surely drops when ``d + u`` is under the budget at both
+endpoints and is surely kept when ``d`` reaches it at either.  The
+earliest undecided pair has ``u = 0`` at both endpoints, so every round
+decides at least one pair.  The loop itself is the reference,
+:func:`repro.verify.oracles.oracle_budget_walk`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,21 +55,24 @@ from repro.utils.validation import check_probability
 __all__ = ["LossySummarization", "GraphSummary", "DeriveSummaryKernel", "save_summary", "load_summary"]
 
 
-def _pair_array(pairs) -> np.ndarray:
-    """A list of (u, v) tuples as a ``(k, 2)`` int64 array."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    return flat.reshape(-1, 2)
+def _no_pairs() -> np.ndarray:
+    return np.empty((0, 2), dtype=np.int64)
 
 
 @dataclass
 class GraphSummary:
-    """The summary representation S = (P, C⁺, C⁻) over supervertices."""
+    """The summary representation S = (P, C⁺, C⁻) over supervertices.
+
+    ``superedges`` (supervertex pairs), ``corrections_plus`` and
+    ``corrections_minus`` (vertex pairs) are ``(k, 2)`` int64 arrays whose
+    row order is the encoder's (then the budget walk's) order.
+    """
 
     num_vertices: int
     mapping: np.ndarray  # vertex -> supervertex id
-    superedges: list[tuple[int, int]] = field(default_factory=list)
-    corrections_plus: list[tuple[int, int]] = field(default_factory=list)
-    corrections_minus: list[tuple[int, int]] = field(default_factory=list)
+    superedges: np.ndarray = field(default_factory=_no_pairs)
+    corrections_plus: np.ndarray = field(default_factory=_no_pairs)
+    corrections_minus: np.ndarray = field(default_factory=_no_pairs)
 
     @property
     def num_supervertices(self) -> int:
@@ -89,7 +106,7 @@ class GraphSummary:
         triangle.
         """
         order, starts, counts = self._grouped()
-        se = _pair_array(self.superedges)
+        se = self.superedges
         a, b = se[:, 0], se[:, 1]
         cols = counts[b]
         cells = counts[a] * cols
@@ -102,12 +119,12 @@ class GraphSummary:
     def decompress(self) -> CSRGraph:
         """Expand superedges, add C⁺, remove C⁻."""
         u, v = self._covered_pairs()
-        cp = _pair_array(self.corrections_plus)
+        cp = self.corrections_plus
         g = CSRGraph.from_edges(
             self.num_vertices, np.concatenate([u, cp[:, 0]]), np.concatenate([v, cp[:, 1]])
         )
-        if self.corrections_minus:
-            cm = _pair_array(self.corrections_minus)
+        if len(self.corrections_minus):
+            cm = self.corrections_minus
             lo = np.minimum(cm[:, 0], cm[:, 1])
             hi = np.maximum(cm[:, 0], cm[:, 1])
             keys = g.edge_src * np.int64(self.num_vertices) + g.edge_dst
@@ -243,10 +260,8 @@ class LossySummarization(CompressionScheme):
         # MDL rule: a superedge pays off when the block is dense enough.
         dense = (possible > 0) & (present > (possible + 1) // 2 + 1)
         plus = order[~dense[block_of]]
-        summary.corrections_plus = list(
-            zip(g.edge_src[plus].tolist(), g.edge_dst[plus].tolist())
-        )
-        summary.superedges = list(zip(a[dense].tolist(), b[dense].tolist()))
+        summary.corrections_plus = np.column_stack([g.edge_src[plus], g.edge_dst[plus]])
+        summary.superedges = np.column_stack([a[dense], b[dense]])
         # Corrections⁻: every covered member pair that is not an edge, in
         # superedge-then-grid order.  A covered pair can only match an
         # edge of its own block, so one membership test serves all blocks.
@@ -256,32 +271,17 @@ class LossySummarization(CompressionScheme):
         covered = order[dense[block_of]]
         edge_keys = g.edge_src[covered] * n + g.edge_dst[covered]
         missing = ~np.isin(pair_lo * n + pair_hi, edge_keys)
-        summary.corrections_minus = list(
-            zip(pair_lo[missing].tolist(), pair_hi[missing].tolist())
-        )
+        summary.corrections_minus = np.column_stack([pair_lo[missing], pair_hi[missing]])
         return summary
 
     def _drop_corrections(self, g: CSRGraph, summary: GraphSummary, rng) -> GraphSummary:
-        """Lossy step: drop corrections within per-vertex ε·d(v) budgets."""
+        """Lossy step: drop corrections within per-vertex ε·d(v) budgets,
+        corrections⁻ first; both walks draw on one shared budget."""
         if self.epsilon == 0.0:
             return summary
-        budget = np.floor(self.epsilon * g.degrees).astype(np.int64).tolist()
-
-        def filter_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-            if not pairs:
-                return pairs
-            kept = []
-            for i in rng.permutation(len(pairs)).tolist():
-                u, v = pairs[i]
-                if budget[u] > 0 and budget[v] > 0:
-                    budget[u] -= 1
-                    budget[v] -= 1
-                else:
-                    kept.append((u, v))
-            return kept
-
-        summary.corrections_minus = filter_pairs(summary.corrections_minus)
-        summary.corrections_plus = filter_pairs(summary.corrections_plus)
+        budget = np.floor(self.epsilon * g.degrees).astype(np.int64)
+        summary.corrections_minus = _budget_walk(summary.corrections_minus, budget, rng)
+        summary.corrections_plus = _budget_walk(summary.corrections_plus, budget, rng)
         return summary
 
     def summarize(self, g: CSRGraph, *, seed=None) -> GraphSummary:
@@ -351,11 +351,18 @@ class LossySummarization(CompressionScheme):
         )
         result = runtime.run(g, seed=rng)
         sg = result.sg
-        summary = GraphSummary(num_vertices=g.n, mapping=sg.mapping)
-        # Kernel superedges are cluster-id pairs already.
-        summary.superedges = [(int(a), int(b)) for a, b, _ in sg.summary_edges]
-        summary.corrections_plus = list(sg.corrections_plus)
-        summary.corrections_minus = list(sg.corrections_minus)
+
+        def pairs(rows) -> np.ndarray:
+            return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+        summary = GraphSummary(
+            num_vertices=g.n,
+            mapping=sg.mapping,
+            # Kernel superedges are cluster-id pairs already.
+            superedges=pairs([(a, b) for a, b, _ in sg.summary_edges]),
+            corrections_plus=pairs(sg.corrections_plus),
+            corrections_minus=pairs(sg.corrections_minus),
+        )
         summary = self._drop_corrections(g, summary, rng)
         return CompressionResult(
             graph=summary.decompress(),
@@ -364,6 +371,49 @@ class LossySummarization(CompressionScheme):
             params=self.params(),
             extras={"summary": summary, "storage_edges": summary.storage_edges()},
         )
+
+
+def _budget_walk(pairs: np.ndarray, budget: np.ndarray, rng) -> np.ndarray:
+    """Greedy budget walk over ``pairs`` in one ``rng.permutation`` order,
+    run in exact rounds (see the module docstring).
+
+    A pair drops when both endpoints still have budget; each drop spends
+    one unit at both, and ``budget`` is updated in place.  Returns the
+    kept pairs in walk order.  Pairs must have distinct endpoints (every
+    correction does).  No permutation is drawn for an empty list.
+    """
+    k = len(pairs)
+    if k == 0:
+        return pairs
+    walk = np.take(pairs, rng.permutation(k), axis=0)
+    ends = walk.ravel()  # incidences 2i and 2i + 1 are pair i's endpoints
+    # Incidences sorted by (vertex, walk position): one unique key < n·k.
+    inc = np.argsort(ends * np.int64(k) + (np.arange(2 * k, dtype=np.int64) >> 1))
+    vert = ends[inc]
+    slot = np.empty(2 * k, dtype=np.int64)
+    slot[inc] = np.arange(2 * k)
+    partner = slot[inc ^ 1]  # slot of the pair's other incidence
+    room = budget[vert]  # budget left after the dropped pairs before it
+    dropped = np.zeros(k, dtype=bool)
+    while len(inc):
+        size = len(inc)
+        first = np.ones(size, dtype=bool)
+        first[1:] = vert[1:] != vert[:-1]
+        starts = np.flatnonzero(first)
+        seg = np.repeat(starts, np.diff(starts, append=size))
+        fits = np.arange(size) - seg < room  # d + u < budget
+        drop = fits & fits[partner]
+        dropped[inc[drop] >> 1] = True
+        before = np.cumsum(drop.astype(np.int64)) - drop
+        room -= before - before[seg]
+        spent = room <= 0  # d >= budget, counting this round's drops
+        live = np.flatnonzero(~(drop | spent | spent[partner]))
+        renumber = np.empty(size, dtype=np.int64)
+        renumber[live] = np.arange(len(live))
+        partner = renumber[partner[live]]
+        inc, vert, room = inc[live], vert[live], room[live]
+    budget -= np.bincount(walk[dropped].ravel(), minlength=len(budget))
+    return np.take(walk, np.flatnonzero(~dropped), axis=0)
 
 
 def save_summary(summary: GraphSummary, path) -> None:
@@ -379,9 +429,9 @@ def save_summary(summary: GraphSummary, path) -> None:
         Path(path),
         num_vertices=np.array([summary.num_vertices], dtype=np.int64),
         mapping=summary.mapping,
-        superedges=_pair_array(summary.superedges),
-        corrections_plus=_pair_array(summary.corrections_plus),
-        corrections_minus=_pair_array(summary.corrections_minus),
+        superedges=np.ascontiguousarray(summary.superedges, dtype=np.int64),
+        corrections_plus=np.ascontiguousarray(summary.corrections_plus, dtype=np.int64),
+        corrections_minus=np.ascontiguousarray(summary.corrections_minus, dtype=np.int64),
     )
 
 
@@ -425,7 +475,7 @@ def load_summary(path) -> GraphSummary:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"{name} must have shape (k, 2), got {arr.shape}")
         _check_ids(name, arr, bound, kind)
-        pairs[name] = [tuple(row) for row in arr.tolist()]
+        pairs[name] = arr.astype(np.int64, copy=False)
     return GraphSummary(
         num_vertices=n, mapping=mapping.astype(np.int64, copy=False), **pairs
     )

@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.graphs.analysis import inherit_lineage, record_lineage
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "MAX_KEYED_VERTICES"]
+
+#: The largest n whose vertex-pair keys ``u·n + v`` (u, v < n) fit in
+#: int64: ⌊√(2⁶³ − 1)⌋.
+MAX_KEYED_VERTICES = 3_037_000_499
 
 
 class CSRGraph:
@@ -158,6 +162,18 @@ class CSRGraph:
         - ``"sum"``: sum duplicate weights (parallel-edge aggregation, used
           when building summaries),
         - ``"min"`` / ``"max"``: keep the extreme weight.
+
+        The cleaned edges are sorted by the unique key ``src·n + dst``
+        and so come out ordered by ``(src, dst)``; the adjacency is
+        assembled from them directly instead of through the constructor's
+        ``lexsort`` over all arcs (buffer-identical to it): a directed
+        graph's rows are its edges in order; an undirected row holds the
+        vertex's in-neighbours (all below it, ordered by one argsort of
+        the key ``dst·n + src``) and then its out-neighbours (in edge
+        order).  The keys must fit in int64, so a graph with edges takes
+        at most ``MAX_KEYED_VERTICES`` (⌊√(2⁶³ − 1)⌋) vertices; a larger
+        ``num_vertices`` raises ``ValueError``.  Endpoints outside
+        ``[0, num_vertices)`` raise as in the constructor.
         """
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -176,18 +192,32 @@ class CSRGraph:
             hi = np.maximum(src, dst)
             src, dst = lo, hi
 
-        if len(src):
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            if w is not None:
-                w = w[order]
-            # Collapse duplicates on the sorted arrays.
-            is_first = np.empty(len(src), dtype=bool)
+        if num_vertices < 0:
+            raise ValueError(f"num_vertices must be >= 0, got {num_vertices}")
+        n, m = int(num_vertices), len(src)
+        if m and (src.min() < 0 or max(src.max(), dst.max()) >= n):
+            raise ValueError("edge endpoints out of range")
+        if m and n > MAX_KEYED_VERTICES:
+            raise ValueError(
+                f"num_vertices={n} exceeds {MAX_KEYED_VERTICES}, the most "
+                "vertices whose u*n + v pair keys fit in int64"
+            )
+        if m:
+            # Sort by the unique pair key src·n + dst; weighted edges keep
+            # their input order among duplicates (stable), which "first"
+            # and "sum" depend on.
+            keys = src * np.int64(n) + dst
+            if w is None:
+                keys = np.sort(keys)
+            else:
+                order = np.argsort(keys, kind="stable")
+                keys, w = keys[order], w[order]
+            # Collapse duplicates on the sorted keys.
+            is_first = np.empty(m, dtype=bool)
             is_first[0] = True
-            is_first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            is_first[1:] = keys[1:] != keys[:-1]
             if not is_first.all():
                 group = np.cumsum(is_first) - 1
-                usrc, udst = src[is_first], dst[is_first]
                 if w is not None:
                     if dedup == "sum":
                         uw = np.bincount(group, weights=w)
@@ -202,8 +232,36 @@ class CSRGraph:
                     else:
                         raise ValueError(f"unknown dedup policy {dedup!r}")
                     w = uw
-                src, dst = usrc, udst
-        return cls(num_vertices, src, dst, w, directed=directed)
+                keys = keys[is_first]
+                m = len(keys)
+            src, dst = np.divmod(keys, np.int64(n))
+        heads = src if directed else np.concatenate([src, dst])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+        eids = np.arange(m, dtype=np.int64)
+        if directed:
+            indices, arc_ids = dst.copy(), eids
+        else:
+            # Row v = in-arcs (tails < v, by tail) then out-arcs (tails > v,
+            # by tail).  In-arc j of the key order lands after the out-arcs
+            # of every earlier row; out-arc e after every in-arc up to and
+            # including its row's.
+            by_dst = np.argsort(dst * np.int64(n) + src)
+            out_deg = np.bincount(src, minlength=n)
+            out_before = np.cumsum(out_deg) - out_deg
+            in_through = np.cumsum(np.bincount(dst, minlength=n))
+            pos_in = eids + out_before[dst[by_dst]]
+            pos_out = eids + in_through[src]
+            indices = np.empty(2 * m, dtype=np.int64)
+            arc_ids = np.empty(2 * m, dtype=np.int64)
+            indices[pos_in] = src[by_dst]
+            indices[pos_out] = dst
+            arc_ids[pos_in] = by_dst
+            arc_ids[pos_out] = eids
+        return cls._from_parts(
+            n, src, dst, w, directed=directed,
+            indptr=indptr, indices=indices, arc_edge_ids=arc_ids,
+        )
 
     @classmethod
     def empty(cls, num_vertices: int = 0, *, directed: bool = False) -> "CSRGraph":

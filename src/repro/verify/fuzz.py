@@ -67,11 +67,32 @@ __all__ = [
 SMOKE_SEEDS = (0, 1, 2)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5, 6)
 
+
+def _near_cliques(seed: int) -> CSRGraph:
+    """Nine disjoint cliques of 8–14 vertices (about 100 in all) with a
+    seeded ~10% of their edges removed, plus six random cross edges.
+
+    Dense blocks with holes: their summaries carry corrections⁻, so the
+    lossy walk spends budget on corrections⁻ before corrections⁺.
+    """
+    rng = as_generator(seed + 60013)
+    cliques = gen.disjoint_union(
+        *(gen.complete_graph(int(size)) for size in rng.integers(8, 15, size=9))
+    )
+    keep = rng.random(cliques.num_edges) >= 0.1
+    cross = rng.integers(0, cliques.n, size=(2, 6))
+    return CSRGraph.from_edges(
+        cliques.n,
+        np.concatenate([cliques.edge_src[keep], cross[0]]),
+        np.concatenate([cliques.edge_dst[keep], cross[1]]),
+    )
+
+
 #: family name -> deterministic builder of the undirected, unweighted
 #: base graph for one seed.  Sizes are chosen so the pure-Python oracles
 #: stay comfortably inside the CI budget while still exercising the
 #: regimes the paper varies (power law, small world, grid, random,
-#: degenerate shapes).
+#: degenerate shapes, and near-cliques whose summaries need corrections⁻).
 FAMILIES = {
     "rmat": lambda seed: gen.rmat(6, 4, seed=seed),
     "powerlaw_cluster": lambda seed: gen.powerlaw_cluster(90, 3, 0.5, seed=seed),
@@ -92,6 +113,7 @@ FAMILIES = {
         gen.balanced_tree(2, 2 + seed % 2),
         gen.triangle_strip(4 + seed % 3),
     ),
+    "near_cliques": _near_cliques,
 }
 
 def _delta_batches(

@@ -57,6 +57,7 @@ __all__ = [
     "oracle_ldd",
     "oracle_triangle_list",
     "oracle_summary",
+    "oracle_budget_walk",
     "oracle_decompress",
 ]
 
@@ -432,28 +433,44 @@ def oracle_summary(
         num_hashes=num_hashes,
         rng=rng,
     )
-    summary = _oracle_encode(g, mapping)
-    if epsilon == 0.0:
-        return summary
-    budget = np.floor(epsilon * g.degrees).astype(np.int64)
+    superedges, plus, minus = _oracle_encode(g, mapping)
+    if epsilon != 0.0:
+        budget = np.floor(epsilon * g.degrees).astype(np.int64)
+        minus = oracle_budget_walk(minus, budget, rng)
+        plus = oracle_budget_walk(plus, budget, rng)
 
-    def filter_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        if not pairs:
-            return pairs
-        kept = []
-        order = rng.permutation(len(pairs))
-        for i in order:
-            u, v = pairs[i]
-            if budget[u] > 0 and budget[v] > 0:
-                budget[u] -= 1
-                budget[v] -= 1
-            else:
-                kept.append((u, v))
-        return kept
+    def rows(pairs: list[tuple[int, int]]) -> np.ndarray:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
-    summary.corrections_minus = filter_pairs(summary.corrections_minus)
-    summary.corrections_plus = filter_pairs(summary.corrections_plus)
-    return summary
+    return GraphSummary(
+        num_vertices=g.n,
+        mapping=mapping,
+        superedges=rows(superedges),
+        corrections_plus=rows(plus),
+        corrections_minus=rows(minus),
+    )
+
+
+def oracle_budget_walk(
+    pairs: list[tuple[int, int]], budget: np.ndarray, rng
+) -> list[tuple[int, int]]:
+    """The ε-budget walk as the sequential loop: visit the pairs in one
+    ``rng.permutation`` order and drop a pair while both endpoints have
+    budget, spending one unit at each (``budget`` is updated in place).
+    The reference for :func:`repro.compress.summarization._budget_walk`;
+    returns the kept pairs in visiting order."""
+    if not pairs:
+        return pairs
+    kept = []
+    order = rng.permutation(len(pairs))
+    for i in order:
+        u, v = pairs[i]
+        if budget[u] > 0 and budget[v] > 0:
+            budget[u] -= 1
+            budget[v] -= 1
+        else:
+            kept.append((u, v))
+    return kept
 
 
 def _oracle_minhash_clustering(
@@ -517,8 +534,11 @@ def _oracle_members(mapping: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _oracle_encode(g: CSRGraph, mapping: np.ndarray) -> GraphSummary:
-    summary = GraphSummary(num_vertices=g.n, mapping=mapping)
+def _oracle_encode(g: CSRGraph, mapping: np.ndarray) -> tuple[list, list, list]:
+    """(superedges, corrections⁺, corrections⁻) as lists of tuples."""
+    superedges: list[tuple[int, int]] = []
+    plus: list[tuple[int, int]] = []
+    minus: list[tuple[int, int]] = []
     sizes = np.bincount(mapping, minlength=int(mapping.max()) + 1 if len(mapping) else 0)
     cs, cd = mapping[g.edge_src], mapping[g.edge_dst]
     lo = np.minimum(cs, cd)
@@ -540,7 +560,7 @@ def _oracle_encode(g: CSRGraph, mapping: np.ndarray) -> GraphSummary:
             possible = int(sizes[a]) * int(sizes[b])
         present_count = len(eids)
         if possible and present_count > (possible + 1) // 2 + 1:
-            summary.superedges.append((a, b))
+            superedges.append((a, b))
             present = set(
                 zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
             )
@@ -554,12 +574,12 @@ def _oracle_encode(g: CSRGraph, mapping: np.ndarray) -> GraphSummary:
             for u, v in zip(cand_u.tolist(), cand_v.tolist()):
                 pair = (u, v) if u < v else (v, u)
                 if pair not in present:
-                    summary.corrections_minus.append(pair)
+                    minus.append(pair)
         else:
-            summary.corrections_plus.extend(
+            plus.extend(
                 zip(g.edge_src[eids].tolist(), g.edge_dst[eids].tolist())
             )
-    return summary
+    return superedges, plus, minus
 
 
 def oracle_decompress(summary: GraphSummary) -> CSRGraph:
@@ -578,8 +598,8 @@ def oracle_decompress(summary: GraphSummary) -> CSRGraph:
         else:
             src_parts.append(np.repeat(ma, len(mb)))
             dst_parts.append(np.tile(mb, len(ma)))
-    if summary.corrections_plus:
-        cp = np.array(summary.corrections_plus, dtype=np.int64)
+    if len(summary.corrections_plus):
+        cp = np.asarray(summary.corrections_plus, dtype=np.int64)
         src_parts.append(cp[:, 0])
         dst_parts.append(cp[:, 1])
     if not src_parts:
@@ -587,8 +607,8 @@ def oracle_decompress(summary: GraphSummary) -> CSRGraph:
     g = CSRGraph.from_edges(
         summary.num_vertices, np.concatenate(src_parts), np.concatenate(dst_parts)
     )
-    if summary.corrections_minus:
-        cm = np.array(summary.corrections_minus, dtype=np.int64)
+    if len(summary.corrections_minus):
+        cm = np.asarray(summary.corrections_minus, dtype=np.int64)
         lo = np.minimum(cm[:, 0], cm[:, 1])
         hi = np.maximum(cm[:, 0], cm[:, 1])
         keys = g.edge_src * np.int64(summary.num_vertices) + g.edge_dst

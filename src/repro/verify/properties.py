@@ -405,7 +405,7 @@ def summary_identity(g: CSRGraph, *, seed=0) -> list[str]:
         if not np.array_equal(got.mapping, ref.mapping):
             out.append(f"mapping differs from the reference {ctx}")
         for name in ("superedges", "corrections_plus", "corrections_minus"):
-            if getattr(got, name) != getattr(ref, name):
+            if not np.array_equal(getattr(got, name), getattr(ref, name)):
                 out.append(f"{name} differ from the reference {ctx}")
         out += _compare_buffers(
             got.decompress(), oracle_decompress(ref), f"after decompress {ctx}"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.bfs import bfs
 from repro.algorithms.components import connected_components
@@ -12,11 +13,16 @@ from repro.compress.mappings import (
     low_diameter_decomposition,
 )
 from repro.compress.spanner import Spanner
-from repro.compress.summarization import GraphSummary, LossySummarization
+from repro.compress.summarization import GraphSummary, LossySummarization, _budget_walk
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.verify.fuzz import FAMILIES, FuzzCase, build_graph
-from repro.verify.oracles import oracle_decompress, oracle_ldd, oracle_summary
+from repro.verify.oracles import (
+    oracle_budget_walk,
+    oracle_decompress,
+    oracle_ldd,
+    oracle_summary,
+)
 
 
 class TestLDD:
@@ -256,7 +262,9 @@ class TestSummarization:
             return {(min(u, v), max(u, v)) for u, v in pairs}
 
         assert np.array_equal(kern.mapping, fast.mapping)
-        assert set(kern.superedges) == set(fast.superedges)
+        assert set(map(tuple, kern.superedges.tolist())) == set(
+            map(tuple, fast.superedges.tolist())
+        )
         assert canonical(kern.corrections_plus) == canonical(fast.corrections_plus)
         assert canonical(kern.corrections_minus) == canonical(fast.corrections_minus)
         assert res.graph.num_edges == g.num_edges
@@ -288,12 +296,108 @@ class TestSummarization:
 def assert_same_summary(got, ref):
     assert got.num_vertices == ref.num_vertices
     assert np.array_equal(got.mapping, ref.mapping)
-    assert got.superedges == ref.superedges
-    assert got.corrections_plus == ref.corrections_plus
-    assert got.corrections_minus == ref.corrections_minus
+    assert np.array_equal(got.superedges, ref.superedges)
+    assert np.array_equal(got.corrections_plus, ref.corrections_plus)
+    assert np.array_equal(got.corrections_minus, ref.corrections_minus)
     a, b = got.decompress(), oracle_decompress(ref)
     for attr in ("indptr", "indices", "edge_src", "edge_dst", "arc_edge_ids"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+def assert_walks_agree(pairs, budget, seed):
+    """The rounds walk returns the loop's kept pairs in order, leaves the
+    same budgets and draws the same random numbers."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    fast_budget = np.array(budget, dtype=np.int64)
+    loop_budget = fast_budget.copy()
+    fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    kept = _budget_walk(pairs, fast_budget, fast_rng)
+    ref = oracle_budget_walk(
+        [tuple(p) for p in pairs.tolist()], loop_budget, loop_rng
+    )
+    assert kept.dtype == np.int64 and kept.shape == (len(ref), 2)
+    assert [tuple(p) for p in kept.tolist()] == ref
+    assert np.array_equal(fast_budget, loop_budget)
+    assert fast_rng.random() == loop_rng.random()
+    return kept, fast_budget
+
+
+@st.composite
+def walk_inputs(draw, max_n=12, max_k=60):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(0, max_k))
+    u = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    shift = draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k))
+    budget = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    pairs = [(a, (a + s) % n) for a, s in zip(u, shift)]
+    return pairs, budget, draw(st.integers(0, 2**31 - 1))
+
+
+class TestBudgetWalk:
+    """``_budget_walk`` (exact rounds) against the sequential loop of
+    :func:`repro.verify.oracles.oracle_budget_walk`."""
+
+    def test_no_pairs_draws_nothing(self):
+        kept, budget = assert_walks_agree([], [2, 2, 2], seed=0)
+        assert kept.shape == (0, 2)
+        assert budget.tolist() == [2, 2, 2]
+        rng = np.random.default_rng(0)
+        _budget_walk(np.empty((0, 2), dtype=np.int64), np.zeros(3, np.int64), rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize(
+        "budget, dropped", [([1, 1], True), ([0, 3], False), ([3, 0], False)]
+    )
+    def test_one_pair(self, budget, dropped):
+        kept, left = assert_walks_agree([(0, 1)], budget, seed=1)
+        assert len(kept) == (0 if dropped else 1)
+        assert left.tolist() == ([b - 1 for b in budget] if dropped else budget)
+
+    def test_all_budgets_zero_keep_everything_in_walk_order(self):
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+        kept, _ = assert_walks_agree(pairs, [0, 0, 0, 0], seed=2)
+        order = np.random.default_rng(2).permutation(len(pairs))
+        assert kept.tolist() == [list(pairs[i]) for i in order]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_budget_equal_to_incidence_count(self, seed):
+        # Vertex 0 meets six pairs and may drop exactly six.
+        pairs = [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (5, 6)]
+        kept, left = assert_walks_agree(pairs, [6, 9, 9, 9, 9, 9, 9], seed)
+        assert len(kept) == 0 and left[0] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_star_hub_with_budget_one(self, seed):
+        pairs = [(0, leaf) for leaf in range(1, 10)]
+        kept, left = assert_walks_agree(pairs, [1] + [1] * 9, seed)
+        assert len(kept) == 8 and left[0] == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_minus_then_plus_share_one_budget(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 15
+        budget = rng.integers(0, 4, n)
+        u = rng.integers(0, n, (2, 40))
+        v = (u + rng.integers(1, n, (2, 40))) % n
+        minus = np.column_stack([u[0], v[0]])
+        plus = np.column_stack([u[1], v[1]])
+        fast_budget, loop_budget = budget.copy(), budget.copy()
+        fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = [_budget_walk(p, fast_budget, fast_rng) for p in (minus, plus)]
+        loop = [
+            oracle_budget_walk([tuple(r) for r in p.tolist()], loop_budget, loop_rng)
+            for p in (minus, plus)
+        ]
+        for got, ref in zip(fast, loop):
+            assert [tuple(r) for r in got.tolist()] == ref
+        assert np.array_equal(fast_budget, loop_budget)
+        assert (fast_budget >= 0).all()
+
+    @given(walk_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop(self, data):
+        pairs, budget, seed = data
+        assert_walks_agree(pairs, budget, seed)
 
 
 class TestSummarizationMatchesOracle:
@@ -389,9 +493,9 @@ class TestSummaryStorage:
         save_summary(summary, path)
         back = load_summary(path)
         assert back.num_vertices == summary.num_vertices
-        assert back.superedges == summary.superedges
-        assert back.corrections_plus == summary.corrections_plus
-        assert back.corrections_minus == summary.corrections_minus
+        assert np.array_equal(back.superedges, summary.superedges)
+        assert np.array_equal(back.corrections_plus, summary.corrections_plus)
+        assert np.array_equal(back.corrections_minus, summary.corrections_minus)
         a = summary.decompress()
         b = back.decompress()
         assert a.num_edges == b.num_edges
@@ -450,6 +554,55 @@ class TestSummaryStorage:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=message):
             load_summary(path)
+
+    @pytest.mark.parametrize("damage", ["reversed", "duplicated", "self_loops", "covered"])
+    def test_loaded_correction_rows_decompress_like_oracle(self, tmp_path, damage):
+        """Correction rows from a file are untrusted: reversed, repeated,
+        self-loop or already-covered pairs decompress exactly as the
+        reference does."""
+        from repro.compress.summarization import load_summary, save_summary
+
+        g = build_graph(FuzzCase("near_cliques", False, False, 0))
+        summary = LossySummarization(
+            0.0, threshold=0.6, max_cluster_size=4
+        ).summarize(g, seed=0)
+        assert len(summary.superedges) and len(summary.corrections_minus)
+        cp, cm = summary.corrections_plus, summary.corrections_minus
+        if damage == "reversed":
+            cp, cm = cp[:, ::-1], cm[::2, ::-1]
+        elif damage == "duplicated":
+            cp, cm = np.concatenate([cp, cp[::3]]), np.concatenate([cm[::-1], cm])
+        elif damage == "self_loops":
+            loops = np.repeat(np.arange(0, g.n, 7), 2).reshape(-1, 2)
+            cp, cm = np.concatenate([loops, cp]), np.concatenate([cm, loops])
+        else:
+            u, v = summary._covered_pairs()
+            covered = np.column_stack([u, v])
+            cp = np.concatenate([cp, covered[::5], covered[1::5, ::-1]])
+            cm = np.concatenate([cm, covered[2::9]])
+        summary.corrections_plus, summary.corrections_minus = cp, cm
+        path = tmp_path / "damaged.npz"
+        save_summary(summary, path)
+        loaded = load_summary(path)
+        got, ref = loaded.decompress(), oracle_decompress(loaded)
+        for attr in ("indptr", "indices", "arc_edge_ids", "edge_src", "edge_dst"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+        assert got.edge_weights is None and ref.edge_weights is None
+        got.validate()
+
+    def test_saved_arrays_are_int64_rows(self, tmp_path, plc300):
+        from repro.compress.summarization import save_summary
+
+        summary = LossySummarization(0.2).summarize(plc300, seed=0)
+        summary.corrections_plus = summary.corrections_plus[:, ::-1].astype(np.int32)
+        path = tmp_path / "s.npz"
+        save_summary(summary, path)
+        with np.load(path) as z:
+            for name in ("superedges", "corrections_plus", "corrections_minus"):
+                arr = z[name]
+                assert arr.dtype == np.int64 and arr.ndim == 2 and arr.shape[1] == 2
+                assert arr.flags.c_contiguous
+            assert np.array_equal(z["corrections_plus"], summary.corrections_plus)
 
     def test_valid_hand_written_file_loads(self, tmp_path):
         from repro.compress.summarization import load_summary

@@ -75,6 +75,24 @@ class TestGraphBuilding:
                 return
         raise AssertionError("no dangling vertex in any smoke seed")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_near_cliques_feed_the_shared_budget_walk(self, seed):
+        """At the lossy summary setting (ε = 0.4) the encoder emits
+        corrections⁻, so the walk spends budget on them before it reaches
+        corrections⁺."""
+        from repro.compress.summarization import LossySummarization
+        from repro.verify.properties import _SUMMARY_SETTINGS
+
+        g = build_graph(FuzzCase("near_cliques", False, False, seed))
+        assert 80 <= g.n <= 130
+        (eps, threshold, size), = [s for s in _SUMMARY_SETTINGS if s[0] == 0.4]
+        kw = dict(threshold=threshold, max_cluster_size=size)
+        encoded = LossySummarization(0.0, **kw).summarize(g, seed=seed)
+        lossy = LossySummarization(eps, **kw).summarize(g, seed=seed)
+        assert len(encoded.corrections_minus) > 0
+        assert np.array_equal(encoded.mapping, lossy.mapping)
+        assert len(lossy.corrections_minus) < len(encoded.corrections_minus)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown families"):
             build_cases(families=["nope"])

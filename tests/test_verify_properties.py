@@ -171,7 +171,7 @@ class TestPipelineInvariants:
 
         def reordered(self, g, mapping):
             summary = encode(self, g, mapping)
-            summary.corrections_plus.reverse()
+            summary.corrections_plus = summary.corrections_plus[::-1]
             return summary
 
         monkeypatch.setattr(LossySummarization, "_encode", reordered)
