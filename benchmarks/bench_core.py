@@ -18,7 +18,17 @@ paper experiments end to end):
   sparse ``(L @ L) ∘ L`` count,
   and the heap-Dijkstra LDD (:func:`repro.verify.oracles.oracle_ldd`)
   against the numpy frontier rounds the spanner runs, with outputs
-  asserted equal;
+  asserted equal (each timed Borůvka call sorts: its cached rank order
+  is dropped first);
+- **algorithms on a sample** — on a ``uniform(p=0.5)`` sample of the
+  weighted v-ewk stand-in and, in full mode, of weighted
+  ``powerlaw_cluster(2**17, 8, 0.5, seed=3)`` (about 1e6 edges):
+  ``pr_transition`` times PageRank's transition matrix built by
+  transposing the row-normalized adjacency against the direct build off
+  the symmetric CSR, and ``mst_order`` times Borůvka's ``lexsort`` rank
+  order against the order derived from the sorted parent's; outputs
+  asserted equal, and the full run asserts both reuses faster at 1e6
+  edges;
 - **summarization** — one ε = 0.4 summarization call split into its
   stages (minhash clustering, encoding, the budget walk, decompression)
   and timed whole, on the v-ewk stand-in and, in full mode, on
@@ -48,7 +58,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algorithms.mst import boruvka, kruskal
+from repro.algorithms.mst import (
+    _lexsort_order,
+    _rank_order,
+    _weights_kept,
+    boruvka,
+    kruskal,
+)
+from repro.algorithms.pagerank import _direct_transition, _transposed_transition
 from repro.algorithms.triangles import (
     _closed_wedges,
     _oriented_arcs,
@@ -64,7 +81,7 @@ from repro.compress.registry import build_scheme
 from repro.compress.summarization import LossySummarization
 from repro.graphs import datasets
 from repro.graphs import generators as gen
-from repro.graphs.analysis import analysis_cache, stats_delta
+from repro.graphs.analysis import analysis_cache, lineage_parent, stats_delta
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weights import with_uniform_weights
 from repro.runner.harness import write_perf_record
@@ -244,12 +261,17 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
                 getattr(heap_ldd, field), getattr(round_ldd, field)
             ), field
         assert heap_ldd.num_clusters == round_ldd.num_clusters
+
+        def sorting_boruvka():
+            analysis_cache().forget(g, "mst_rank_order")
+            return boruvka(g)
+
         row = {
             "n": g.n,
             "m": g.num_edges,
             "triangles": triangles,
             "mst_kruskal_seconds": _best_of(lambda: kruskal(g), repeats),
-            "mst_boruvka_seconds": _best_of(lambda: boruvka(g), repeats),
+            "mst_boruvka_seconds": _best_of(sorting_boruvka, repeats),
             "tc_join_seconds": _best_of(join_count, repeats),
             "tc_sparse_seconds": _best_of(
                 lambda: _sparse_triangle_count(g), repeats
@@ -276,6 +298,65 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
             f"rounds {row['ldd_rounds_seconds'] * 1e3:8.2f} ms"
         )
     return rows
+
+
+def bench_sample_algorithms(smoke: bool, repeats: int) -> dict[str, list]:
+    """The ``pr_transition`` and ``mst_order`` rows on a ``uniform(p=0.5)``
+    sample of a weighted root: the rebuilt structure against the one read
+    off what is known."""
+    inputs = [("v-ewk", lambda: datasets.load("v-ewk", weighted=True))]
+    if not smoke:
+        inputs.append(
+            (
+                "powerlaw_cluster(2**17, 8, 0.5, seed=3)",
+                lambda: with_uniform_weights(
+                    gen.powerlaw_cluster(2**17, 8, 0.5, seed=3), 1.0, 10.0, seed=3
+                ),
+            )
+        )
+    cache = analysis_cache()
+    pr_rows, mst_rows = [], []
+    for name, build in inputs:
+        root = build()
+        sample = build_scheme("uniform(p=0.5)").compress(root, seed=0).graph
+        shape = {"graph": name, "n": sample.n, "m": sample.num_edges}
+
+        transpose, _ = _transposed_transition(sample, False)
+        direct, _ = _direct_transition(sample)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(transpose, field), getattr(direct, field)
+            ), field
+        pr = dict(shape)
+        pr["transpose_seconds"] = _best_of(
+            lambda: _transposed_transition(sample, False), repeats
+        )
+        pr["direct_seconds"] = _best_of(lambda: _direct_transition(sample), repeats)
+        pr["speedup"] = pr["transpose_seconds"] / pr["direct_seconds"]
+        pr_rows.append(pr)
+
+        _rank_order(root)  # sorted, as a grid's mst baseline leaves it
+        parent, mask = lineage_parent(sample, ("mst_rank_order",))
+        assert parent is root and _weights_kept(root, mask, sample)
+
+        def derived():
+            cache.forget(sample, "mst_rank_order")
+            return _rank_order(sample)
+
+        assert np.array_equal(derived(), _lexsort_order(sample))
+        order = dict(shape)
+        order["lexsort_seconds"] = _best_of(lambda: _lexsort_order(sample), repeats)
+        order["derived_seconds"] = _best_of(derived, repeats)
+        order["speedup"] = order["lexsort_seconds"] / order["derived_seconds"]
+        mst_rows.append(order)
+        print(
+            f"sample of {name} m={sample.num_edges:,}: "
+            f"pr transpose {pr['transpose_seconds'] * 1e3:8.2f} ms   "
+            f"direct {pr['direct_seconds'] * 1e3:8.2f} ms   "
+            f"mst lexsort {order['lexsort_seconds'] * 1e3:8.2f} ms   "
+            f"derived {order['derived_seconds'] * 1e3:8.2f} ms"
+        )
+    return {"pr_transition": pr_rows, "mst_order": mst_rows}
 
 
 #: Summarization stages, in call order.
@@ -438,6 +519,7 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
         "triangle_cache": bench_triangle_cache(smoke),
         "chains": bench_chains(sizes, repeats),
         "algorithms": bench_algorithms(sizes, repeats),
+        **bench_sample_algorithms(smoke, repeats),
         "summarization": bench_summarization(smoke, repeats),
         "obs_overhead": bench_obs_overhead(sizes[-1], max(repeats, 5)),
     }
@@ -450,6 +532,9 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
             f"faster than the rebuild at m={largest['m']:,} "
             f"(expected >= {MIN_KEEP_EDGES_SPEEDUP}x)"
         )
+        for section in ("pr_transition", "mst_order"):
+            row = perf[section][-1]
+            assert row["m"] >= 500_000 and row["speedup"] > 1.0, (section, row)
         overhead = perf["obs_overhead"]
         assert overhead["m"] >= 1_000_000, overhead
         budget = MAX_OBS_OVERHEAD * overhead["aa_noise_ratio"]

@@ -13,6 +13,18 @@ metric.  Two engines:
 Both rank edges by (weight, edge id), a strict total order under which
 the minimum spanning *forest* is unique, so the two return bit-identical
 results on every graph, disconnected ones included.
+
+Borůvka's rank order is a cached analysis (``"mst_rank_order"``).  An
+edge subgraph made by :meth:`~repro.graphs.csr.CSRGraph.keep_edges` —
+every sampling scheme's output — records its lineage parent and keep
+mask (:func:`repro.graphs.analysis.lineage_parent`).  When that parent
+is alive, has its order cached (a grid's ``mst`` baseline sorts the
+input first) and the subgraph's weights are the parent's weights under
+the mask, the subgraph's order is the parent's order filtered by the
+mask and renumbered: O(m) instead of the O(m log m) ``lexsort``.  Ties
+by edge id survive, because child edge ids are monotone in parent ids.
+The weights are always compared, never assumed: spectral sparsification
+reweights its sample but passes the lineage on.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.registry import register_algorithm
+from repro.graphs.analysis import cached_analysis, lineage_parent
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["MSTResult", "kruskal", "boruvka", "minimum_spanning_forest", "UnionFind"]
@@ -67,6 +80,37 @@ def _weights(g: CSRGraph) -> np.ndarray:
         if g.is_weighted
         else np.ones(g.num_edges, dtype=np.float64)
     )
+
+
+def _lexsort_order(g: CSRGraph) -> np.ndarray:
+    """Edge ids by (weight, edge id): rank -> edge id."""
+    return np.lexsort((np.arange(g.num_edges), _weights(g)))
+
+
+def _weights_kept(parent: CSRGraph, mask: np.ndarray, g: CSRGraph) -> bool:
+    """Whether ``g``'s edge weights are ``parent``'s under the keep mask."""
+    return np.array_equal(_weights(parent)[mask], _weights(g))
+
+
+@cached_analysis("mst_rank_order")
+def _rank_order(g: CSRGraph) -> np.ndarray:
+    """:func:`_lexsort_order` of ``g``, derived from its sorted lineage
+    parent's order when ``g`` keeps the parent's weights.
+
+    The parent's order lists parent edge ids by (weight, id); dropping
+    the ids the mask removes and renumbering the rest (``cumsum(mask) -
+    1``) lists ``g``'s ids by the same weights, ties still by id.
+    """
+    found = lineage_parent(g, ("mst_rank_order",))
+    if found is None or not _weights_kept(*found, g):
+        order = _lexsort_order(g)
+    else:
+        parent, mask = found
+        porder = _rank_order(parent)
+        new_id = np.cumsum(mask) - 1
+        order = new_id[porder[mask[porder]]]
+    order.flags.writeable = False
+    return order
 
 
 def kruskal(g: CSRGraph) -> MSTResult:
@@ -117,7 +161,7 @@ def boruvka(g: CSRGraph) -> MSTResult:
         raise ValueError("MST is defined for undirected graphs")
     n, m = g.n, g.num_edges
     w = _weights(g)
-    order = np.lexsort((np.arange(m), w))  # rank -> edge id
+    order = _rank_order(g)  # rank -> edge id
     # Live crossing edges in rank order: endpoint component ids and rank.
     a, b = g.edge_src[order], g.edge_dst[order]
     rank = np.arange(m, dtype=np.int64)

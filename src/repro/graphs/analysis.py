@@ -132,10 +132,13 @@ class AnalysisCache:
 
     # -- maintenance & observability ---------------------------------------- #
 
-    def forget(self, graph) -> None:
-        """Drop every cached analysis of ``graph``."""
+    def forget(self, graph, name: str | None = None) -> None:
+        """Drop every cached analysis of ``graph``, or only ``name``."""
         try:
-            self._entries.pop(graph, None)
+            if name is None:
+                self._entries.pop(graph, None)
+            else:
+                self._entries.get(graph, {}).pop(name, None)
         except TypeError:
             pass
 

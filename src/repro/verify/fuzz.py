@@ -367,7 +367,7 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             msgs = [f"raised {type(err).__name__}: {err}"]
         return [f"{label}: {m}" for m in msgs]
 
-    checks += 6
+    checks += 7
     failures.extend(
         guarded(
             "tr_connectivity",
@@ -398,6 +398,12 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
         guarded(
             "triangle_derive_identity",
             lambda: properties.triangle_derive_identity(g, seed=case.seed),
+        )
+    )
+    failures.extend(
+        guarded(
+            "mst_derive_identity",
+            lambda: properties.mst_derive_identity(g, seed=case.seed),
         )
     )
 

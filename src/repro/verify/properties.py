@@ -7,9 +7,10 @@ consistent vertex alignment, EO-Triangle-Reduction preserves
 connectivity (§6.1), spanners bound distance stretch, chain lineages
 compose stage by stage, the sort-free transform fast paths are
 buffer-identical to the legacy rebuild, summarization and triangle
-listing match their references, triangle counts derived along a
-sampling lineage match the sparse count, snapshot/store round trips are
-fingerprint-stable, and parallel grids equal in-memory grids.
+listing match their references, triangle counts and MST rank orders
+derived along a sampling lineage match the direct ones, snapshot/store
+round trips are fingerprint-stable, and parallel grids equal in-memory
+grids.
 
 Every check returns a list of human-readable violation strings (empty =
 pass), the same contract as the oracle comparators, so the fuzz driver
@@ -429,8 +430,9 @@ def triangle_list_identity(g: CSRGraph) -> list[str]:
     ]
 
 
-#: The seeded chain :func:`triangle_derive_identity` samples: each stage
-#: is an edge subgraph of the one before.
+#: The seeded chain :func:`triangle_derive_identity` and
+#: :func:`mst_derive_identity` sample: each stage is an edge subgraph of
+#: the one before (the spectral stage reweighted).
 _DERIVE_CHAIN = ("uniform(p=0.7)", "low_degree(max_degree=2)", "spectral(p=0.6)")
 
 
@@ -451,6 +453,35 @@ def triangle_derive_identity(g: CSRGraph, *, seed=0) -> list[str]:
             out.append(f"after {spec}: no counted parent to derive from")
         if triangles.count_triangles(child) != triangles._sparse_triangle_count(child):
             out.append(f"after {spec}: derived count differs from the sparse one")
+        parent = child
+    return out
+
+
+def mst_derive_identity(g: CSRGraph, *, seed=0) -> list[str]:
+    """Borůvka on every stage of the seeded sampling chain over ``g``
+    must return exactly what Kruskal does, and its rank order, derived
+    from the sorted stage before where the weights allow, must equal the
+    ``lexsort`` order.  The stages are sorted in order, so each can
+    derive from the one before it."""
+    from repro.algorithms import mst
+    from repro.graphs.analysis import lineage_parent
+
+    mst.boruvka(g)  # the sorted parent of the first stage
+    out: list[str] = []
+    parent = g
+    for i, spec in enumerate(_DERIVE_CHAIN):
+        child = build_scheme(spec).compress(parent, seed=seed + i).graph
+        if child is not parent and lineage_parent(child, ("mst_rank_order",)) is None:
+            out.append(f"after {spec}: no sorted parent to derive from")
+        got, ref = mst.boruvka(child), mst.kruskal(child)
+        if not (
+            np.array_equal(got.edge_ids, ref.edge_ids)
+            and got.total_weight == ref.total_weight
+            and got.num_trees == ref.num_trees
+        ):
+            out.append(f"after {spec}: boruvka differs from kruskal")
+        if not np.array_equal(mst._rank_order(child), mst._lexsort_order(child)):
+            out.append(f"after {spec}: derived rank order differs from the lexsort one")
         parent = child
     return out
 

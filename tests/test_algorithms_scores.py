@@ -1,5 +1,7 @@
 """PageRank, betweenness, triangles — verified against networkx oracles."""
 
+import importlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from repro.algorithms.triangles import (
 from repro.graphs import generators as gen
 from repro.graphs.analysis import analysis_cache
 from repro.graphs.csr import CSRGraph
+from repro.graphs.weights import with_uniform_weights
 from repro.verify.fuzz import FAMILIES
 from repro.graphs import datasets
 from repro.verify.oracles import oracle_triangle_count, oracle_triangle_list
 from tests.conftest import to_networkx
+
+pagerank_mod = importlib.import_module("repro.algorithms.pagerank")
 
 FAMILY_GRAPHS = [
     (f"{name}.s{seed}", build(seed))
@@ -63,6 +68,81 @@ class TestPageRank:
 
     def test_empty_graph(self):
         assert pagerank(CSRGraph.empty(0)).ranks.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"max_iterations": -3}, "max_iterations"),
+            ({"max_iterations": 0}, "max_iterations"),
+            ({"max_iterations": 2.5}, "max_iterations"),
+            ({"tol": -1}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+        ],
+    )
+    def test_parameter_validation(self, tiny, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            pagerank(tiny, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            pagerank(CSRGraph.empty(0), **kwargs)
+
+    @pytest.mark.parametrize("spec", ["pr(iterations=-3)", "pr(iterations=2.5)"])
+    def test_registry_iterations_name_the_parameter(self, tiny, spec):
+        from repro.algorithms.registry import build_algorithm
+
+        with pytest.raises(ValueError, match="max_iterations"):
+            build_algorithm(spec).compute(tiny)
+
+
+def _transition_graphs():
+    """Weighted and unweighted fuzz families, plus isolated vertices and
+    an edgeless graph."""
+    out = []
+    for name, build in FAMILIES.items():
+        for seed in (0, 1):
+            g = build(seed)
+            out.append((f"{name}.unw.s{seed}", g))
+            out.append((f"{name}.wtd.s{seed}", with_uniform_weights(g, seed=seed)))
+    isolated = gen.disjoint_union(
+        gen.path_graph(5), CSRGraph.from_edges(4, [], []), gen.star_graph(6)
+    )
+    out.append(("isolated.unw", isolated))
+    out.append(("isolated.wtd", with_uniform_weights(isolated, seed=2)))
+    out.append(("edgeless", CSRGraph.from_edges(7, [], [])))
+    return out
+
+
+class TestPageRankTransition:
+    """The direct transition build of an undirected graph run unweighted
+    equals the transpose build buffer for buffer."""
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g in _transition_graphs()], ids=[i for i, _ in _transition_graphs()]
+    )
+    def test_direct_equals_transpose(self, g):
+        direct, strength = pagerank_mod._direct_transition(g)
+        ref, ref_strength = pagerank_mod._transposed_transition(g, False)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(direct, name), getattr(ref, name)), name
+        assert direct.shape == ref.shape
+        assert np.array_equal(strength, ref_strength)
+
+    def _forbid(self, monkeypatch, name):
+        monkeypatch.setattr(
+            pagerank_mod, name, lambda *a: pytest.fail(f"built by {name}")
+        )
+
+    def test_undirected_unweighted_run_builds_directly(self, monkeypatch, weighted300):
+        ref = pagerank(weighted300)
+        self._forbid(monkeypatch, "_transposed_transition")
+        got = pagerank(weighted300)
+        assert np.array_equal(got.ranks, ref.ranks)
+        assert got.iterations == ref.iterations
+
+    def test_directed_and_weighted_keep_the_transpose(self, monkeypatch, weighted300):
+        directed = CSRGraph.from_edges(5, [0, 1, 2, 3], [1, 2, 0, 4], directed=True)
+        self._forbid(monkeypatch, "_direct_transition")
+        assert pagerank(directed).ranks.sum() == pytest.approx(1.0)
+        assert pagerank(weighted300, weighted=True).ranks.sum() == pytest.approx(1.0)
 
 
 class TestTriangles:

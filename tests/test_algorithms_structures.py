@@ -147,6 +147,71 @@ class TestBoruvkaBitIdentity:
         assert_same_forest(g)
 
 
+class TestRankOrderLineage:
+    """A keep_edges sample's Borůvka order is read off its sorted parent's
+    order when it keeps the parent's weights, and sorted otherwise."""
+
+    def _sample(self, g, p=0.5, seed=0):
+        return g.keep_edges(np.random.default_rng(seed).random(g.num_edges) < p)
+
+    def _forbid_sort(self, monkeypatch):
+        from repro.algorithms import mst
+
+        monkeypatch.setattr(mst, "_lexsort_order", lambda g: pytest.fail("sorted"))
+
+    @pytest.mark.parametrize("levels", [0, 2, 50])
+    def test_sample_derives_from_sorted_parent(self, monkeypatch, levels):
+        from repro.algorithms import mst
+
+        g = gen.powerlaw_cluster(400, 4, 0.5, seed=levels)
+        if levels:
+            g = _repeated_weights(g, levels, seed=levels)
+        boruvka(g)  # sorts and caches the parent's order
+        child = self._sample(g)
+        grandchild = self._sample(child, p=0.7, seed=1)
+        with monkeypatch.context() as patch:
+            self._forbid_sort(patch)
+            derived = [mst._rank_order(child), mst._rank_order(grandchild)]
+        for order, sample in zip(derived, (child, grandchild)):
+            assert np.array_equal(order, mst._lexsort_order(sample))
+            assert_same_forest(sample)
+
+    def test_reweighted_sample_is_sorted(self):
+        from repro.algorithms import mst
+
+        g = with_uniform_weights(gen.powerlaw_cluster(300, 4, 0.5, seed=1), seed=1)
+        boruvka(g)
+        child = self._sample(g)
+        reweighted = child.with_weights(child.edge_weights[::-1].copy())
+        parent, mask = mst.lineage_parent(reweighted, ("mst_rank_order",))
+        assert parent is g and not mst._weights_kept(g, mask, reweighted)
+        assert np.array_equal(
+            mst._rank_order(reweighted), mst._lexsort_order(reweighted)
+        )
+        assert_same_forest(reweighted)
+
+    def test_unsorted_or_dead_parent_is_sorted(self, monkeypatch):
+        import gc
+
+        from repro.algorithms import mst
+
+        calls = []
+        lexsort_order = mst._lexsort_order
+        monkeypatch.setattr(
+            mst, "_lexsort_order", lambda g: calls.append(g.num_edges) or lexsort_order(g)
+        )
+        g = with_uniform_weights(gen.powerlaw_cluster(300, 4, 0.5, seed=2), seed=2)
+        child = self._sample(g)
+        assert_same_forest(child)  # the parent was never sorted
+        assert calls == [child.num_edges]
+        boruvka(g)
+        orphan, g_edges = self._sample(g, seed=3), g.num_edges
+        del g
+        gc.collect()
+        assert_same_forest(orphan)
+        assert calls[1:] == [g_edges, orphan.num_edges]
+
+
 class TestMatching:
     def test_greedy_is_valid_matching(self, er300):
         res = greedy_matching(er300)

@@ -5,8 +5,8 @@ accounting, the fingerprint a store reload installs), mutation-free
 invalidation (a derived
 graph never sees its parent's cached triangles), lineage derivation (an
 edge subgraph's triangle count read off its counted parent equals the
-sparse count, which runs instead without a live counted parent), and
-the headline reuse
+sparse count, which runs instead without a live counted parent; a
+sampling grid's ``mst`` sorts only its root), and the headline reuse
 guarantee: a multi-seed TR sweep lists the original graph's triangles
 exactly once, observable through cache stats and BENCH perf records.
 """
@@ -77,6 +77,17 @@ class TestAnalysisCache:
         gc.collect()
         assert ref() is None
         assert c.stats()["live_graphs"] == 0
+
+    def test_forget_one_analysis(self):
+        c = AnalysisCache()
+        g = triangle_rich()
+        c.put(g, "a", 1)
+        c.put(g, "b", 2)
+        c.forget(g, "a")
+        c.forget(g, "missing")
+        assert c.peek(g, "a") is None and c.peek(g, "b") == 2
+        c.forget(g)
+        assert c.peek(g, "b") is None
 
     def test_stats_delta(self):
         before = {"hits": 1, "misses": 2, "by_analysis": {"a": {"hits": 1, "misses": 2}}}
@@ -252,6 +263,27 @@ class TestSessionIntegration:
         delta = stats_delta(before, cache.stats())
         assert delta["by_analysis"]["triangle_list"]["misses"] == 1
         assert delta["by_analysis"]["triangle_list"]["hits"] >= 3
+
+    def test_sampling_grid_sorts_only_the_root_for_mst(self, monkeypatch):
+        """The ``mst`` baseline sorts the input once; every sample that
+        keeps its weights reads its Borůvka order off the root's, and a
+        reweighted spectral sample sorts its own."""
+        from repro.algorithms import mst
+
+        sorted_sizes = []
+        lexsort_order = mst._lexsort_order
+
+        def counting(graph):
+            sorted_sizes.append(graph.num_edges)
+            return lexsort_order(graph)
+
+        monkeypatch.setattr(mst, "_lexsort_order", counting)
+        g = with_uniform_weights(triangle_rich(seed=9), seed=9)
+        session = Session(g, seed=0)
+        session.grid(["uniform(p=0.5)", "uniform(p=0.8)"], ["mst"], seed=0)
+        assert sorted_sizes == [g.num_edges]
+        session.grid(["spectral(p=0.5)"], ["mst"], seed=0)
+        assert len(sorted_sizes) == 2 and sorted_sizes[1] < g.num_edges
 
     def test_grid_perf_reports_analysis_cache(self):
         g = triangle_rich(seed=4)

@@ -215,6 +215,23 @@ class TestPipelineInvariants:
         msgs = properties.triangle_derive_identity(gen.powerlaw_cluster(200, 4, 0.6, seed=1))
         assert any("derived count differs" in m for m in msgs), msgs
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_mst_derive_identity(self, plc300, plc_weighted, seed):
+        assert properties.mst_derive_identity(plc300, seed=seed) == []
+        assert properties.mst_derive_identity(plc_weighted, seed=seed) == []
+
+    def test_mst_derive_identity_catches_an_unchecked_reweighting(self, monkeypatch):
+        from repro.algorithms import mst
+
+        # Without the weights check the spectral stage, which reweights
+        # its sample but keeps the lineage link, derives a stale order.
+        monkeypatch.setattr(mst, "_weights_kept", lambda parent, mask, g: True)
+        msgs = properties.mst_derive_identity(gen.powerlaw_cluster(200, 4, 0.6, seed=1))
+        assert any(
+            m.startswith("after spectral") and "rank order differs" in m for m in msgs
+        ), msgs
+        assert not any(m.startswith("after uniform") for m in msgs), msgs
+
 
 class TestRoundTrips:
     def test_snapshot_roundtrip(self, plc300, tmp_path):
