@@ -29,6 +29,11 @@ paper experiments end to end):
   order against the order derived from the sorted parent's; outputs
   asserted equal, and the full run asserts both reuses faster at 1e6
   edges;
+- **triangle reduction** — ``compress`` of ``0.5-1-TR``, ``EO-0.8-1-TR``,
+  ``0.5-2-TR`` and ``EO-0.8-2-TR`` (median over seeds, triangles already
+  listed) on the v-ewk stand-in and, in full mode, on
+  ``powerlaw_cluster(2**17, 8, 0.5, seed=3)``: the block-wise slot draws
+  and the edge-once first-touch scatter;
 - **summarization** — one ε = 0.4 summarization call split into its
   stages (minhash clustering, encoding, the budget walk, decompression)
   and timed whole, on the v-ewk stand-in and, in full mode, on
@@ -70,6 +75,7 @@ from repro.algorithms.triangles import (
     _closed_wedges,
     _oriented_arcs,
     _sparse_triangle_count,
+    list_triangles,
 )
 from repro.analytics.session import Session
 from repro.compress.mappings import (
@@ -159,8 +165,6 @@ def bench_triangle_cache(smoke: bool, seeds=(0, 1, 2)) -> dict:
     g = gen.powerlaw_cluster(n, 6, 0.6, seed=1)
     cache = analysis_cache()
     cache.forget(g)  # defensive: a truly cold first listing
-
-    from repro.algorithms.triangles import list_triangles
 
     start = time.perf_counter()
     tl = list_triangles(g)
@@ -359,6 +363,50 @@ def bench_sample_algorithms(smoke: bool, repeats: int) -> dict[str, list]:
     return {"pr_transition": pr_rows, "mst_order": mst_rows}
 
 
+#: The TR schemes timed by the ``triangle_reduction`` section.
+TR_SCHEMES = ("0.5-1-TR", "EO-0.8-1-TR", "0.5-2-TR", "EO-0.8-2-TR")
+
+
+def bench_triangle_reduction(smoke: bool, repeats: int) -> list[dict]:
+    """Median ``compress`` seconds of each TR scheme over seeds
+    1..repeats, on a graph whose triangles are already listed."""
+    inputs = [("v-ewk", lambda: datasets.load("v-ewk", seed=0))]
+    if not smoke:
+        inputs.append(
+            (
+                "powerlaw_cluster(2**17, 8, 0.5, seed=3)",
+                lambda: gen.powerlaw_cluster(2**17, 8, 0.5, seed=3),
+            )
+        )
+    seeds = list(range(1, repeats + 1))
+    rows = []
+    for name, build in inputs:
+        g = build()
+        triangles = list_triangles(g).count
+        for spec in TR_SCHEMES:
+            scheme = build_scheme(spec)
+            times = []
+            for seed in seeds:
+                start = time.perf_counter()
+                scheme.compress(g, seed=seed)
+                times.append(time.perf_counter() - start)
+            row = {
+                "graph": name,
+                "n": g.n,
+                "m": g.num_edges,
+                "triangles": triangles,
+                "scheme": spec,
+                "seeds": seeds,
+                "compress_seconds": statistics.median(times),
+            }
+            rows.append(row)
+            print(
+                f"triangle reduction {name} T={triangles:,} {spec:>12}: "
+                f"{row['compress_seconds'] * 1e3:8.2f} ms"
+            )
+    return rows
+
+
 #: Summarization stages, in call order.
 SUMMARY_STAGES = ("cluster", "encode", "walk", "decompress")
 
@@ -520,6 +568,7 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
         "chains": bench_chains(sizes, repeats),
         "algorithms": bench_algorithms(sizes, repeats),
         **bench_sample_algorithms(smoke, repeats),
+        "triangle_reduction": bench_triangle_reduction(smoke, repeats),
         "summarization": bench_summarization(smoke, repeats),
         "obs_overhead": bench_obs_overhead(sizes[-1], max(repeats, 5)),
     }

@@ -115,17 +115,29 @@ def low_diameter_decomposition(
     pv = np.arange(n, dtype=np.int64)
     pc = pv.copy()
     pe = np.full(n, -1, dtype=np.int64)
+    # Per-target minima of the final candidates' keys; a round resets
+    # only the entries of its own targets.
+    best_d = np.empty(n)
+    best_c = np.empty(n, dtype=np.int64)
+    best_e = np.empty(n, dtype=np.int64)
     while len(pd):
         t = pd.min()
         final = pd < t + slack[pv]
         at_t = np.flatnonzero(pd == t)
         final[at_t[np.lexsort((pe[at_t], pc[at_t], pv[at_t]))[0]]] = True
         f = np.flatnonzero(final)
-        f = f[np.lexsort((pe[f], pc[f], pd[f], pv[f]))]
-        first = np.ones(len(f), dtype=bool)
-        first[1:] = pv[f[1:]] != pv[f[:-1]]
-        win = f[first]
-        v = pv[win]
+        # Each target's winner is its least (d, center, edge): one
+        # min-scatter per key over the candidates still tied.  A (target,
+        # edge) pair is pending at most once, so one candidate is left
+        # per target; the winners are then put in vertex order.
+        for key, best in ((pd, best_d), (pc, best_c), (pe, best_e)):
+            fv, fk = pv[f], key[f]
+            best[fv] = fk
+            np.minimum.at(best, fv, fk)
+            f = f[fk == best[fv]]
+        v = pv[f]
+        order = np.argsort(v)
+        win, v = f[order], v[order]
         mapping[v] = pc[win]
         parent_edge[v] = pe[win]
         dist[v] = pd[win]
@@ -266,8 +278,10 @@ def jaccard_minhash_clustering(
        and the supervertex stays under ``max_cluster_size``.
 
     The similarities of all in-group pairs come from one pass over the
-    closed-neighborhood incidences, so a group of L vertices costs
-    O(L²) memory; only the greedy walk over them runs in Python.
+    closed-neighborhood incidences, sorted once by the pair key
+    ``group·n + neighbor`` with ties in walk order (a two-key
+    ``lexsort``), so a group of L vertices costs O(L²) memory; only the
+    greedy walk over them runs in Python.
 
     Returns compact cluster ids; unmerged vertices are singleton clusters.
     """
@@ -323,8 +337,9 @@ def jaccard_minhash_clustering(
     inc_gid = gid_of[inc_vertex]
     inc_pos = pos_of[inc_vertex]
     # Runs of equal (group, neighbor), members in walk order: every pair
-    # inside a run shares that neighbor, and no pair crosses groups.
-    srt = np.lexsort((inc_pos, inc_nbr, inc_gid))
+    # inside a run shares that neighbor, and no pair crosses groups.  The
+    # pair is one key below n² (n ≤ MAX_KEYED_VERTICES keeps it in int64).
+    srt = np.lexsort((inc_pos, inc_gid * np.int64(n) + inc_nbr))
     inc_gid, inc_nbr, inc_pos = inc_gid[srt], inc_nbr[srt], inc_pos[srt]
     new_run = np.ones(len(srt), dtype=bool)
     new_run[1:] = (inc_gid[1:] != inc_gid[:-1]) | (inc_nbr[1:] != inc_nbr[:-1])

@@ -103,9 +103,13 @@ class Spanner(CompressionScheme):
             lo = np.minimum(cs[crossing], cd[crossing])
             hi = np.maximum(cs[crossing], cd[crossing])
             key = lo * C + hi
-            order = np.lexsort((crossing, key))
-            uniq, first = np.unique(key[order], return_index=True)
-            keep[crossing[order][first]] = True
+            # crossing is ascending, so a stable sort leaves each pair's
+            # smallest edge id at the start of its run.
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.ones(len(key), dtype=bool)
+            first[1:] = key[1:] != key[:-1]
+            keep[crossing[order[first]]] = True
         compressed = g.keep_edges(keep)
         return CompressionResult(
             graph=compressed,

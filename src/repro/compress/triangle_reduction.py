@@ -60,8 +60,9 @@ __all__ = [
 _VARIANTS = ("basic", "edge_once", "count_triangles", "max_weight", "collapse")
 
 
-#: For x = 2, the two slots kept when slot ``i`` draws the largest number.
-_OTHER_SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
+#: Sampled triangles handled per block: a block's rank draws, slot picks
+#: and gathers stay cache-sized however many triangles are sampled.
+_TRIANGLE_BLOCK = 1 << 15
 
 
 def _draw_triangle_edges(
@@ -69,38 +70,62 @@ def _draw_triangle_edges(
 ) -> np.ndarray:
     """The ``x`` edges each sampled triangle ``edge_ids[idx]`` draws, (k, x).
 
-    One ``rng.random((k, 3))`` draw ranks a row's three slots, and the x
-    lowest-ranked slots are drawn — what a per-row argsort would pick,
-    read off without sorting: x = 1 takes the row's argmin, x = 2 every
-    slot but its argmax (in slot order; callers treat a row as a set).
+    ``rng.random((k, 3))``, drawn in blocks of :data:`_TRIANGLE_BLOCK`
+    rows (the same stream as one call), ranks a row's three slots, and
+    the x lowest-ranked slots are drawn — what a per-row argsort would
+    pick, read off by column comparisons: x = 1 takes the row's argmin
+    (strict ``<``, so a tie keeps the first minimum), x = 2 every slot
+    but its argmax (strict ``>``, the first maximum), in slot order;
+    callers treat a row as a set.  Each pick is one ``take`` from the
+    flat ``edge_ids`` at ``3·triangle + slot``.
     """
-    ranks = rng.random((len(idx), 3))
-    if x == 1:
-        return edge_ids[idx, ranks.argmin(axis=1)][:, None]
-    return edge_ids[idx[:, None], _OTHER_SLOTS[ranks.argmax(axis=1)]]
+    flat = edge_ids.ravel()
+    drawn = np.empty((len(idx), x), dtype=flat.dtype)
+    for lo in range(0, len(idx), _TRIANGLE_BLOCK):
+        base = idx[lo : lo + _TRIANGLE_BLOCK] * 3
+        hi = lo + len(base)
+        r = rng.random((len(base), 3))
+        r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
+        if x == 1:
+            # Slot 1 when below slot 0, slot 2 when below both (an
+            # np.where select on random conditions costs as much as the
+            # draw itself).
+            slot = np.maximum(
+                (r1 < r0).view(np.uint8),
+                (r2 < np.minimum(r0, r1)).view(np.uint8) * np.uint8(2),
+            )
+            drawn[lo:hi, 0] = flat.take(base + slot)
+        else:
+            # The kept pair is (1 if slot 0 is the first maximum else 0,
+            # 1 if slot 2 is the maximum else 2).
+            top = r2 > np.maximum(r0, r1)
+            drawn[lo:hi, 0] = flat.take(base + ((r0 >= r1) & ~top))
+            drawn[lo:hi, 1] = flat.take(base + 2 - top)
+    return drawn
 
 
 def _edge_once_delete_mask(
-    num_edges: int, touched: np.ndarray, drawn: np.ndarray
+    num_edges: int, edge_ids: np.ndarray, idx: np.ndarray, drawn: np.ndarray
 ) -> np.ndarray:
     """Vectorized edge-once semantics.
 
-    ``touched[i]`` are the 3 edges of the i-th reduction event (in event
-    order) and ``drawn[i]`` the x edges it tries to delete.  Sequentially,
+    Event ``i`` touches the 3 edges ``edge_ids[idx[i]]`` (events in
+    order) and tries to delete the x edges ``drawn[i]``.  Sequentially,
     an edge is deleted iff it is drawn by the event that *first touches*
     it — later events see it considered.  That fixed point is computable
-    without the sequential loop: one min-scatter finds each edge's first
-    touching event, then drawn edges matching their own first-touch index
-    are the deletions.
+    without the sequential loop: a min-scatter of each touch's flat
+    position ``3·i + slot``, fed block by block, finds each edge's first
+    touch, and drawn edges whose first touch lies in their own event's
+    row are the deletions.
     """
     delete = np.zeros(num_edges, dtype=bool)
-    if len(touched) == 0:
-        return delete
-    num_events = len(touched)
-    first_touch = np.full(num_edges, num_events, dtype=np.int64)
-    event_of = np.repeat(np.arange(num_events, dtype=np.int64), touched.shape[1])
-    np.minimum.at(first_touch, touched.ravel(), event_of)
-    wins = first_touch[drawn] == np.arange(num_events, dtype=np.int64)[:, None]
+    first_touch = np.full(num_edges, 3 * len(idx), dtype=np.int64)
+    for lo in range(0, len(idx), _TRIANGLE_BLOCK):
+        touched = edge_ids.take(idx[lo : lo + _TRIANGLE_BLOCK], axis=0)
+        np.minimum.at(
+            first_touch, touched.ravel(), np.arange(3 * lo, 3 * lo + touched.size)
+        )
+    wins = first_touch[drawn] // 3 == np.arange(len(idx))[:, None]
     delete[drawn[wins]] = True
     return delete
 
@@ -262,13 +287,13 @@ class TriangleReduction(CompressionScheme):
             delete[_draw_triangle_edges(rng, tl.edge_ids, idx, self.x).ravel()] = True
         elif self.variant == "edge_once":
             chosen = _draw_triangle_edges(rng, tl.edge_ids, idx, self.x)
-            delete = _edge_once_delete_mask(g.num_edges, tl.edge_ids[idx], chosen)
+            delete = _edge_once_delete_mask(g.num_edges, tl.edge_ids, idx, chosen)
         elif self.variant == "count_triangles":
             counts = edge_triangle_counts(g)
             eids = tl.edge_ids[idx]
             order = np.argsort(counts[eids] * np.int64(g.num_edges) + eids, axis=1)
             ranked = np.take_along_axis(eids, order[:, : self.x], axis=1)
-            delete = _edge_once_delete_mask(g.num_edges, eids, ranked)
+            delete = _edge_once_delete_mask(g.num_edges, tl.edge_ids, idx, ranked)
         elif self.variant == "max_weight":
             w = (
                 g.edge_weights

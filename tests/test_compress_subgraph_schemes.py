@@ -84,6 +84,17 @@ def assert_same_ldd(got, ref):
     assert got.num_clusters == ref.num_clusters
 
 
+class _FixedShifts(np.random.Generator):
+    """A generator whose exponential draw is a fixed shift vector."""
+
+    def __init__(self, shifts):
+        super().__init__(np.random.PCG64(0))
+        self.shifts = shifts
+
+    def exponential(self, scale=1.0, size=None):
+        return self.shifts.copy()
+
+
 class TestLDDMatchesHeapOracle:
     """The frontier rounds are bit-identical to the heap Dijkstra."""
 
@@ -107,6 +118,26 @@ class TestLDDMatchesHeapOracle:
                         ),
                         oracle_ldd(g, beta, seed=seed, weighted=weighted),
                     )
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["hops", "int_weights"])
+    @pytest.mark.parametrize("graph", ["grid", "plc300"])
+    def test_tied_candidates(self, plc300, graph, weighted):
+        """Integer shifts and lengths make several candidates reach a
+        vertex at the same distance, from different centers and from one
+        center along different edges: the winner is the least (d,
+        center, edge), as the heap pops it."""
+        g = gen.grid_2d(7, 7) if graph == "grid" else plc300
+        rng = np.random.default_rng(4)
+        if weighted:
+            g = g.with_weights(rng.integers(1, 3, g.num_edges).astype(np.float64))
+        for _ in range(8):
+            shifts = rng.integers(0, 4, g.n).astype(np.float64)
+            assert_same_ldd(
+                low_diameter_decomposition(
+                    g, 1.0, seed=_FixedShifts(shifts), weighted=weighted
+                ),
+                oracle_ldd(g, 1.0, seed=_FixedShifts(shifts), weighted=weighted),
+            )
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless_graphs(self, n):

@@ -6,7 +6,12 @@ import pytest
 from repro.algorithms.components import connected_components
 from repro.algorithms.mst import kruskal
 from repro.algorithms.triangles import count_triangles, list_triangles
-from repro.compress.triangle_reduction import TriangleReduction, _draw_triangle_edges
+from repro.compress import triangle_reduction
+from repro.compress.triangle_reduction import (
+    TriangleReduction,
+    _draw_triangle_edges,
+    _edge_once_delete_mask,
+)
 from repro.graphs import generators as gen
 from repro.graphs.weights import with_uniform_weights
 
@@ -74,6 +79,128 @@ class TestSlotDraws:
         for x in (1, 2):
             got = _draw_triangle_edges(np.random.default_rng(0), eids, empty, x)
             assert got.shape == (0, x)
+
+    @pytest.mark.parametrize("block", [2, 1 << 15])
+    def test_exact_ties_follow_argmin_and_argmax(self, monkeypatch, block):
+        """Equal ranks pick argmin's first minimum (x = 1) and drop
+        argmax's first maximum (x = 2)."""
+        monkeypatch.setattr(triangle_reduction, "_TRIANGLE_BLOCK", block)
+        ranks = np.array(
+            [
+                [0.5, 0.5, 0.5],
+                [0.2, 0.2, 0.7],
+                [0.7, 0.2, 0.2],
+                [0.2, 0.7, 0.2],
+                [0.7, 0.7, 0.2],
+                [0.2, 0.7, 0.7],
+                [0.7, 0.2, 0.7],
+            ]
+        )
+        eids = 100 + np.arange(3 * len(ranks), dtype=np.int64).reshape(-1, 3)
+        idx = np.arange(len(ranks))
+        got = _draw_triangle_edges(_FixedRanks(ranks), eids, idx, 1)
+        assert got[:, 0].tolist() == [100, 103, 107, 109, 114, 115, 119]
+        assert np.array_equal(got[:, 0], eids[idx, ranks.argmin(axis=1)])
+        got = _draw_triangle_edges(_FixedRanks(ranks), eids, idx, 2)
+        assert got.tolist() == [
+            [101, 102], [103, 104], [107, 108], [109, 111],
+            [113, 114], [115, 117], [119, 120],
+        ]
+        assert np.array_equal(got, eids[idx[:, None], _OTHER_SLOTS[ranks.argmax(axis=1)]])
+
+
+class _FixedRanks:
+    """A stub rng whose ``random((b, 3))`` hands out fixed rows in order."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.at = 0
+
+    def random(self, shape):
+        out = self.rows[self.at : self.at + shape[0]]
+        self.at += shape[0]
+        assert out.shape == shape
+        return out.copy()
+
+
+#: For x = 2, the two slots kept when slot ``i`` draws the largest rank.
+_OTHER_SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _one_shot_draw(rng, edge_ids, idx, x):
+    """The slot picks as one (k, 3) draw and a row argmin / argmax."""
+    ranks = rng.random((len(idx), 3))
+    if x == 1:
+        return edge_ids[idx, ranks.argmin(axis=1)][:, None]
+    return edge_ids[idx[:, None], _OTHER_SLOTS[ranks.argmax(axis=1)]]
+
+
+def _one_shot_mask(num_edges, touched, drawn):
+    """Edge-once deletions from one first-touch scatter of event ids."""
+    first_touch = np.full(num_edges, len(touched), dtype=np.int64)
+    event_of = np.repeat(np.arange(len(touched)), 3)
+    np.minimum.at(first_touch, touched.ravel(), event_of)
+    wins = first_touch[drawn] == np.arange(len(touched))[:, None]
+    delete = np.zeros(num_edges, dtype=bool)
+    delete[drawn[wins]] = True
+    return delete
+
+
+def _one_shot_reduce(g, p, x, variant, rng):
+    eids = list_triangles(g).edge_ids
+    idx = np.flatnonzero(rng.random(len(eids)) < p)
+    drawn = _one_shot_draw(rng, eids, idx, x)
+    if variant == "basic":
+        delete = np.zeros(g.num_edges, dtype=bool)
+        delete[drawn.ravel()] = True
+    else:
+        delete = _one_shot_mask(g.num_edges, eids[idx], drawn)
+    return g.keep_edges(~delete), len(idx)
+
+
+class TestTriangleBlocks:
+    """Block-wise draws and first-touch scatters equal the one-shot code
+    on every side of a block boundary, drawing the same numbers."""
+
+    BLOCK = 8
+
+    @pytest.mark.parametrize("k", [0, BLOCK - 3, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_draws_and_mask(self, monkeypatch, plc300, k, x):
+        monkeypatch.setattr(triangle_reduction, "_TRIANGLE_BLOCK", self.BLOCK)
+        eids = list_triangles(plc300).edge_ids
+        pool = np.flatnonzero(np.random.default_rng(k).random(len(eids)) < 0.5)
+        idx = pool[:k]
+        assert len(idx) == k
+        rng, ref_rng = np.random.default_rng(x), np.random.default_rng(x)
+        got = _draw_triangle_edges(rng, eids, idx, x)
+        ref = _one_shot_draw(ref_rng, eids, idx, x)
+        assert np.array_equal(got, ref)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+        assert np.array_equal(
+            _edge_once_delete_mask(plc300.num_edges, eids, idx, got),
+            _one_shot_mask(plc300.num_edges, eids[idx], ref),
+        )
+
+    @pytest.mark.parametrize(
+        "p, offset",
+        [(0.0, 0), (0.6, 3), (0.6, 0), (0.6, -1)],
+        ids=["k0", "below", "at", "above"],
+    )
+    @pytest.mark.parametrize("x", [1, 2])
+    @pytest.mark.parametrize("variant", ["basic", "edge_once"])
+    def test_scheme_matches_one_shot(self, monkeypatch, plc300, variant, x, p, offset):
+        """k = 0, k < block, k = block and k = block + 1 sampled triangles
+        (the block is set to k + offset)."""
+        ref_rng = np.random.default_rng(9)
+        ref, k = _one_shot_reduce(plc300, p, x, variant, ref_rng)
+        monkeypatch.setattr(triangle_reduction, "_TRIANGLE_BLOCK", max(k + offset, 1))
+        rng = np.random.default_rng(9)
+        res = TriangleReduction(p, x=x, variant=variant).compress(plc300, seed=rng)
+        assert res.extras["triangles_reduced"] == k
+        assert np.array_equal(res.graph.edge_src, ref.edge_src)
+        assert np.array_equal(res.graph.edge_dst, ref.edge_dst)
+        assert rng.random() == ref_rng.random()  # same draws consumed
 
 
 class TestEdgeOnce:

@@ -83,7 +83,8 @@ def test_edge_once_mask_matches_sequential(num_edges, events, seed):
             if not considered[e]:
                 expected[e] = True
         considered[touched[i]] = True
-    actual = _edge_once_delete_mask(num_edges, touched, drawn)
+    events = np.arange(len(touched))
+    actual = _edge_once_delete_mask(num_edges, touched, events, drawn)
     assert np.array_equal(expected, actual)
 
 
