@@ -29,6 +29,13 @@ paper experiments end to end):
   order against the order derived from the sorted parent's; outputs
   asserted equal, and the full run asserts both reuses faster at 1e6
   edges;
+- **triangle listing** — cold ``list_triangles`` and its edge-id bytes
+  per triangle on the v-ewk stand-in and, in full mode, on
+  ``powerlaw_cluster(2**17, 8, 0.5, seed=3)`` and
+  ``powerlaw_cluster(2**19, 2, 0.5, seed=3)`` (about 1e6 edges each),
+  then ``tc`` on a ``uniform(p=0.5)`` child of the sparse-counted root:
+  the first derived count (the root's listing included), a warm derived
+  count, and the child's sparse count, all asserted equal;
 - **triangle reduction** — ``compress`` of ``0.5-1-TR``, ``EO-0.8-1-TR``,
   ``0.5-2-TR`` and ``EO-0.8-2-TR`` (median over seeds, triangles already
   listed) on the v-ewk stand-in and, in full mode, on
@@ -73,8 +80,10 @@ from repro.algorithms.mst import (
 from repro.algorithms.pagerank import _direct_transition, _transposed_transition
 from repro.algorithms.triangles import (
     _closed_wedges,
+    _derived_or_sparse_count,
     _oriented_arcs,
     _sparse_triangle_count,
+    count_triangles,
     list_triangles,
 )
 from repro.analytics.session import Session
@@ -250,10 +259,10 @@ def bench_algorithms(sizes, repeats: int) -> list[dict]:
         assert np.array_equal(ref.edge_ids, fast.edge_ids)
         assert ref.total_weight == fast.total_weight
         assert ref.num_trees == fast.num_trees
-        optr, onbr, arc_u, _ = _oriented_arcs(g)  # shared by both counts
+        arcs = _oriented_arcs(g)  # shared by both counts
 
         def join_count():
-            return sum(len(b[0]) for b in _closed_wedges(g.n, optr, onbr, arc_u))
+            return sum(len(b[0]) for b in _closed_wedges(g.n, *arcs))
 
         triangles = join_count()
         assert _sparse_triangle_count(g) == triangles
@@ -361,6 +370,73 @@ def bench_sample_algorithms(smoke: bool, repeats: int) -> dict[str, list]:
             f"derived {order['derived_seconds'] * 1e3:8.2f} ms"
         )
     return {"pr_transition": pr_rows, "mst_order": mst_rows}
+
+
+def bench_triangle_listing(smoke: bool, repeats: int) -> list[dict]:
+    """Cold listing and the bytes it keeps, then the first and a warm
+    derived ``tc`` of a ``uniform(p=0.5)`` child of the sparse-counted
+    root against the child's sparse count."""
+    inputs = [("v-ewk", lambda: datasets.load("v-ewk", seed=0))]
+    if not smoke:
+        inputs += [
+            (
+                "powerlaw_cluster(2**17, 8, 0.5, seed=3)",
+                lambda: gen.powerlaw_cluster(2**17, 8, 0.5, seed=3),
+            ),
+            (
+                "powerlaw_cluster(2**19, 2, 0.5, seed=3)",
+                lambda: gen.powerlaw_cluster(2**19, 2, 0.5, seed=3),
+            ),
+        ]
+    cache = analysis_cache()
+    rows = []
+    for name, build in inputs:
+        root = build()
+
+        def cold_list():
+            cache.forget(root)
+            return list_triangles(root)
+
+        cold = _best_of(cold_list, repeats)
+        tl = list_triangles(root)
+        cache.forget(root)
+        count_triangles(root)  # sparse-counted, as a grid's tc baseline leaves it
+        child = build_scheme("uniform(p=0.5)").compress(root, seed=0).graph
+
+        def first_derived():
+            cache.forget(root, "triangle_list")
+            cache.forget(child, "triangle_count")
+            return count_triangles(child)
+
+        sparse = _sparse_triangle_count(child)
+        assert first_derived() == _derived_or_sparse_count(child) == sparse
+        assert lineage_parent(child, ("triangle_count",))[0] is root
+        row = {
+            "graph": name,
+            "n": root.n,
+            "m": root.num_edges,
+            "triangles": tl.count,
+            "cold_list_seconds": cold,
+            "edge_ids_bytes": tl.edge_ids.nbytes,
+            "bytes_per_triangle": tl.edge_ids.nbytes / max(tl.count, 1),
+            "child_m": child.num_edges,
+            "child_triangles": sparse,
+            "first_derived_seconds": _best_of(first_derived, repeats),
+            "warm_derived_seconds": _best_of(
+                lambda: _derived_or_sparse_count(child), repeats
+            ),
+            "sparse_seconds": _best_of(lambda: _sparse_triangle_count(child), repeats),
+        }
+        rows.append(row)
+        print(
+            f"triangle listing {name} T={tl.count:,}: "
+            f"cold list {cold * 1e3:8.2f} ms   "
+            f"{row['bytes_per_triangle']:.0f} B/triangle   "
+            f"tc first derived {row['first_derived_seconds'] * 1e3:8.2f} ms   "
+            f"warm {row['warm_derived_seconds'] * 1e3:8.2f} ms   "
+            f"sparse {row['sparse_seconds'] * 1e3:8.2f} ms"
+        )
+    return rows
 
 
 #: The TR schemes timed by the ``triangle_reduction`` section.
@@ -568,6 +644,7 @@ def run(smoke: bool, repeats: int, out_dir) -> Path:
         "chains": bench_chains(sizes, repeats),
         "algorithms": bench_algorithms(sizes, repeats),
         **bench_sample_algorithms(smoke, repeats),
+        "triangle_listing": bench_triangle_listing(smoke, repeats),
         "triangle_reduction": bench_triangle_reduction(smoke, repeats),
         "summarization": bench_summarization(smoke, repeats),
         "obs_overhead": bench_obs_overhead(sizes[-1], max(repeats, 5)),

@@ -356,9 +356,7 @@ class TriangleReduction(CompressionScheme):
         # Map the subsample's edge ids back to originals.
         original_ids = np.flatnonzero(keep)
         tl = list_triangles(sub)
-        return TriangleList(
-            vertices=tl.vertices, edge_ids=original_ids[tl.edge_ids]
-        )
+        return TriangleList(original_ids[tl.edge_ids], g.edge_src, g.edge_dst)
 
     # -- kernel path ------------------------------------------------------ #
 

@@ -33,7 +33,6 @@ import numpy as np
 from repro.algorithms.bfs import bfs, validate_bfs_tree
 from repro.algorithms.components import connected_components
 from repro.algorithms.registry import build_algorithm
-from repro.algorithms.triangles import TriangleList
 from repro.compress.mappings import LDDResult, jaccard_similarity
 from repro.compress.summarization import GraphSummary
 from repro.graphs.csr import CSRGraph
@@ -227,13 +226,15 @@ def oracle_triangles_per_vertex(g: CSRGraph) -> list[int]:
     return counts
 
 
-def oracle_triangle_list(g: CSRGraph) -> TriangleList:
+def oracle_triangle_list(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     """Every triangle by a sorted-key wedge join with edge-id searches.
 
-    The reference for :func:`repro.algorithms.triangles.list_triangles`:
-    the same (degree, id) orientation, every wedge u→v→w materialized and
-    tested against the sorted ``u·n+w`` keys of the oriented arcs, and
-    each edge id found by a binary search over the canonical edge keys.
+    ``(vertices, edge_ids)``, two (T, 3) int64 arrays, the reference for
+    :func:`repro.algorithms.triangles.list_triangles`: its vertices come
+    from the wedges themselves, not from the edges' endpoints.  It takes
+    the same (degree, id) orientation, tests every materialized wedge
+    u→v→w against the sorted ``u·n+w`` keys of the oriented arcs, and
+    finds each edge id by a binary search over the canonical edge keys.
     Wedges run in arc order, so triangles come out by u, then rank v,
     then rank w — the order TR's draws index.
     """
@@ -277,7 +278,7 @@ def oracle_triangle_list(g: CSRGraph) -> TriangleList:
         ],
         axis=1,
     )
-    return TriangleList(vertices=tri, edge_ids=eids)
+    return tri, eids
 
 
 def oracle_clustering_coefficients(g: CSRGraph) -> list[float]:

@@ -421,12 +421,13 @@ def triangle_list_identity(g: CSRGraph) -> list[str]:
     from repro.algorithms.triangles import list_triangles
     from repro.verify.oracles import oracle_triangle_list
 
-    got, ref = list_triangles(g), oracle_triangle_list(g)
+    got = list_triangles(g)
+    vertices, edge_ids = oracle_triangle_list(g)
     return [
         f"triangle {name} differ from the reference "
-        f"({len(got)} vs {len(ref)} triangles)"
-        for name in ("vertices", "edge_ids")
-        if not np.array_equal(getattr(got, name), getattr(ref, name))
+        f"({len(got)} vs {len(want)} triangles)"
+        for name, want in (("vertices", vertices), ("edge_ids", edge_ids))
+        if not np.array_equal(getattr(got, name), want)
     ]
 
 

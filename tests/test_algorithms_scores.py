@@ -1,6 +1,8 @@
 """PageRank, betweenness, triangles — verified against networkx oracles."""
 
+import gc
 import importlib
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -304,11 +306,30 @@ class TestBetweenness:
 
 
 def _assert_matches_oracle(g):
-    got, ref = _fresh_listing(g), oracle_triangle_list(g)
-    assert got.vertices.dtype == got.edge_ids.dtype == np.int64
-    assert np.array_equal(got.vertices, ref.vertices)
-    assert np.array_equal(got.edge_ids, ref.edge_ids)
+    got = _fresh_listing(g)
+    vertices, edge_ids = oracle_triangle_list(g)
+    assert got.edge_ids.dtype == np.int32 and got.vertices.dtype == np.int64
+    assert got.edge_ids.flags.c_contiguous
+    assert got.edge_ids.nbytes == 12 * len(got)
+    assert np.array_equal(got.vertices, vertices)
+    assert np.array_equal(got.edge_ids, edge_ids)
     return got
+
+
+def _closure_table(monkeypatch, g):
+    """The int32 closure table ``_closed_wedges`` allocates for ``g``."""
+    tables = []
+    zeros = np.zeros
+
+    def spy(*args, **kwargs):
+        tables.append(zeros(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(triangles.np, "zeros", spy)
+    arcs = triangles._oriented_arcs(g)
+    closed = list(triangles._closed_wedges(g.n, *arcs))
+    monkeypatch.undo()
+    return next(t for t in tables if t.dtype == np.int32), len(arcs[1]), closed
 
 
 class TestTriangleListing:
@@ -332,27 +353,34 @@ class TestTriangleListing:
     ):
         # A cap below n still holds one row; one wedge per sub-block cuts
         # between every pair of arcs.
-        monkeypatch.setattr(triangles, "_TABLE_CELLS", cells)
+        monkeypatch.setattr(triangles, "_MIN_TABLE_CELLS", cells)
+        monkeypatch.setattr(triangles, "_TABLE_CELLS_PER_ARC", 0)
         monkeypatch.setattr(triangles, "_WEDGE_BLOCK", wedges)
         assert len(_assert_matches_oracle(plc300)) == oracle_triangle_count(plc300)
 
     def test_table_is_capped_and_reset(self, monkeypatch, plc300):
-        monkeypatch.setattr(triangles, "_TABLE_CELLS", 3 * plc300.n + 1)
-        tables = []
-        zeros = np.zeros
-
-        def spy(*args, **kwargs):
-            tables.append(zeros(*args, **kwargs))
-            return tables[-1]
-
-        monkeypatch.setattr(triangles.np, "zeros", spy)
-        optr, onbr, arc_u, _ = triangles._oriented_arcs(plc300)
-        closed = list(triangles._closed_wedges(plc300.n, optr, onbr, arc_u))
-        monkeypatch.undo()
-        table = next(t for t in tables if t.dtype == np.int32)
+        monkeypatch.setattr(triangles, "_MIN_TABLE_CELLS", 3 * plc300.n + 1)
+        monkeypatch.setattr(triangles, "_TABLE_CELLS_PER_ARC", 0)
+        table, _, closed = _closure_table(monkeypatch, plc300)
         assert table.size == 3 * plc300.n
         assert not table.any()  # every block cleared what it wrote
         assert len(closed) > 1
+
+    @pytest.mark.parametrize(
+        "build,above_floor",
+        [
+            (lambda: gen.path_graph(20_000), False),
+            (lambda: gen.erdos_renyi(4096, m=300_000, seed=1), True),
+        ],
+        ids=["floor", "arcs"],
+    )
+    def test_table_rows_follow_floor_and_arcs(self, monkeypatch, build, above_floor):
+        # max(2**20 cells, 4 cells an oriented arc), cut into n-wide rows.
+        g = build()
+        table, arcs, _ = _closure_table(monkeypatch, g)
+        assert (4 * arcs > 1 << 20) == above_floor
+        rows = max(1 << 20, 4 * arcs) // g.n
+        assert 1 < rows < g.n and table.size == rows * g.n
 
     @pytest.mark.parametrize(
         "g",
@@ -390,6 +418,20 @@ class TestTriangleListing:
         tl = _fresh_listing(plc300)
         with pytest.raises(ValueError):
             tl.edge_ids[0, 0] = 0
+        assert "vertices" not in vars(tl)  # derived on first read
+        vertices = tl.vertices
+        assert tl.vertices is vertices
+        with pytest.raises(ValueError):
+            vertices[0, 0] = 0
+
+    def test_list_does_not_pin_its_graph(self):
+        g = gen.powerlaw_cluster(200, 4, 0.5, seed=2)
+        tl = list_triangles(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert len(tl.vertices) == len(tl) > 0
 
     def test_directed_rejected(self):
         g = CSRGraph.from_edges(3, [0, 1, 0], [1, 2, 2], directed=True)

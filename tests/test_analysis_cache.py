@@ -18,13 +18,13 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.algorithms import triangles
 from repro.algorithms.triangles import (
     _DERIVATION_SOURCES,
     _sparse_triangle_count,
     count_triangles,
     edge_triangle_counts,
     list_triangles,
-    triangle_edge_columns,
 )
 from repro.analytics.session import Session
 from repro.compress.registry import build_scheme
@@ -188,6 +188,15 @@ class TestLineageDerivation:
                 assert derives(child)
             assert count_triangles(child) == _sparse_triangle_count(child)
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_derived_count_blocks_cut_anywhere(self, monkeypatch, block):
+        g = triangle_rich(seed=18)
+        count_triangles(g)
+        child = g.keep_edges(np.random.default_rng(5).random(g.num_edges) < 0.6)
+        monkeypatch.setattr(triangles, "_DERIVE_BLOCK", block)
+        assert derives(child)
+        assert count_triangles(child) == _sparse_triangle_count(child)
+
     def test_chain_derives_from_the_counted_parent(self, cache):
         g = triangle_rich(seed=13)
         count_triangles(g)
@@ -200,7 +209,7 @@ class TestLineageDerivation:
         parent, mask = lineage_parent(child, _DERIVATION_SOURCES)
         assert parent is mid and mask.sum() == child.num_edges
         assert count_triangles(child) == _sparse_triangle_count(child)
-        assert cache.peek(mid, "triangle_edge_columns") is not None
+        assert cache.peek(mid, "triangle_list") is not None
 
     def test_child_never_pins_its_parent(self):
         parent = triangle_rich(seed=14)
@@ -229,8 +238,8 @@ class TestLineageDerivation:
         before = cache.stats()
         assert count_triangles(child) == _sparse_triangle_count(child)
         delta = stats_delta(before, cache.stats())
-        assert "triangle_edge_columns" not in delta["by_analysis"]
-        assert cache.peek(g, "triangle_edge_columns") is None
+        assert "triangle_list" not in delta["by_analysis"]
+        assert cache.peek(g, "triangle_list") is None
         assert cache.peek(g, "triangle_count") is None
 
     def test_list_is_never_derived(self):
@@ -238,17 +247,10 @@ class TestLineageDerivation:
         count_triangles(g)
         child = g.keep_edges(np.random.default_rng(4).random(g.num_edges) < 0.5)
         count_triangles(child)
-        got, want = list_triangles(child), oracle_triangle_list(child)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.edge_ids, want.edge_ids)
-
-    def test_edge_columns_match_the_list(self):
-        g = triangle_rich(seed=18)
-        columns = triangle_edge_columns(g)
-        edge_ids = list_triangles(g).edge_ids
-        for k in range(3):
-            assert columns[k].dtype == np.int32 and columns[k].flags.c_contiguous
-            assert np.array_equal(columns[k], edge_ids[:, k])
+        got = list_triangles(child)
+        vertices, edge_ids = oracle_triangle_list(child)
+        assert np.array_equal(got.vertices, vertices)
+        assert np.array_equal(got.edge_ids, edge_ids)
 
 
 class TestSessionIntegration:

@@ -22,6 +22,7 @@ from repro.verify.oracles import (
     oracle_decompress,
     oracle_ldd,
     oracle_summary,
+    oracle_triangle_list,
 )
 
 
@@ -668,6 +669,41 @@ class TestApproxListingTR:
         # p=1 subsample keeps every edge: identical triangle set; the
         # extra RNG draw shifts the stream, so compare counts not bits.
         assert full.extras["triangles"] == exact.extras["triangles"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_subsample_vertices_match_the_oracle(self, family):
+        # Triangles found on the subsample carry original edge ids, and
+        # the vertices read off those edges are the oracle's on the
+        # subsample; collapse contracts them in that order.
+        from repro.compress.triangle_reduction import TriangleReduction
+
+        for seed in (0, 1):
+            g = build_graph(FuzzCase(family, False, False, seed))
+            rng = np.random.default_rng(seed)
+            keep = rng.random(g.num_edges) <= 0.6
+            vertices, edge_ids = oracle_triangle_list(g.keep_edges(keep))
+            tl = TriangleReduction(0.5, approx_listing_p=0.6)._discover_triangles(
+                g, np.random.default_rng(seed)
+            )
+            assert np.array_equal(tl.vertices, vertices)
+            assert np.array_equal(tl.edge_ids, np.flatnonzero(keep)[edge_ids])
+
+            res = TriangleReduction(
+                0.5, variant="collapse", approx_listing_p=0.6
+            ).compress(g, seed=seed)
+            assert res.extras["triangles"] == len(vertices)
+            if not len(vertices):
+                continue
+            used = np.zeros(g.n, dtype=bool)
+            mapping = np.arange(g.n)
+            for tri in vertices[rng.random(len(vertices)) < 0.5]:
+                if not used[tri].any():
+                    used[tri] = True
+                    mapping[tri] = tri.min()
+            assert res.extras["triangles_collapsed"] == used.sum() // 3
+            assert np.array_equal(
+                res.extras["mapping"], np.unique(mapping, return_inverse=True)[1]
+            )
 
     def test_validation(self):
         from repro.compress.triangle_reduction import TriangleReduction

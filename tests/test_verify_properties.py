@@ -189,7 +189,7 @@ class TestPipelineInvariants:
 
         def reordered(g):
             tl = listing(g)
-            return triangles.TriangleList(tl.vertices[::-1], tl.edge_ids[::-1])
+            return triangles.TriangleList(tl.edge_ids[::-1], tl.edge_src, tl.edge_dst)
 
         monkeypatch.setattr(triangles, "list_triangles", reordered)
         g = gen.powerlaw_cluster(60, 3, 0.5, seed=1)
