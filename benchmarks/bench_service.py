@@ -9,6 +9,9 @@ tests only assert qualitatively:
 - **fingerprint jobs** — the same cold/warm pair for a job naming its
   graph as ``fingerprint:<hex>``, a snapshot published into the store
   before boot (the warm one replays without loading the snapshot);
+- **baseline replay** — a second cold fingerprint job on a new seed:
+  every cell computes, but the original-graph baselines the first jobs
+  stored replay (asserted: no baseline computed, one store hit each);
 - **coalescing** — N concurrent identical submissions collapsing onto
   one computation (asserted via the store write count);
 - **shutdown** — SIGINT drains and exits 0.
@@ -149,6 +152,31 @@ def publish_graph(store: Path, job: dict) -> dict:
     )
 
 
+def bench_baseline_replay(base: str, job: dict) -> dict:
+    """A cold ``job`` on a seed no other section uses, after the earlier
+    sections stored its graph's baselines: it computes every cell and
+    replays every baseline."""
+    job = dict(job, seeds=[max(job["seeds"]) + 1])
+    before = _get(base, "/metrics")["store"]
+    start = time.perf_counter()
+    summary = _wait(base, _post(base, job)["id"])
+    latency = time.perf_counter() - start
+    after = _get(base, "/metrics")["store"]
+    grids = _get(base, f"/jobs/{summary['id']}/result")["perf"]["grids"]
+    computations = sum(grid["baseline_computations"] for grid in grids)
+    hits = after["baseline_hits"] - before["baseline_hits"]
+    assert not summary["warm"], summary
+    assert computations == 0, grids
+    assert hits == len(job["algorithms"]), (before, after)
+    return {
+        "seed": job["seeds"][0],
+        "cold_submit_to_complete_seconds": round(latency, 4),
+        "baseline_computations": computations,
+        "baseline_hits": hits,
+        "cells": summary["cells"],
+    }
+
+
 def bench_coalesce(base: str, job: dict) -> dict:
     """N concurrent identical submissions → one computation."""
     job = dict(job, seeds=[max(job["seeds"]) + 1])  # a grid the store has not seen
@@ -212,6 +240,7 @@ def main(argv=None) -> None:
                 "latency": bench_cold_vs_warm(base, job),
                 "fingerprint_job": fingerprint_job,
                 "fingerprint_latency": bench_cold_vs_warm(base, fingerprint_job),
+                "baseline_replay": bench_baseline_replay(base, fingerprint_job),
                 "coalesce": bench_coalesce(base, job),
             }
         except BaseException:
@@ -231,6 +260,8 @@ def main(argv=None) -> None:
         f"({latency['warm_speedup']}x); by fingerprint "
         f"{by_fingerprint['cold_submit_to_complete_seconds']:.2f}s → "
         f"{by_fingerprint['warm_submit_to_complete_seconds']:.2f}s; "
+        f"cold on stored baselines "
+        f"{perf['baseline_replay']['cold_submit_to_complete_seconds']:.2f}s; "
         f"{perf['coalesce']['duplicate_submissions']} duplicates → "
         f"{perf['coalesce']['distinct_jobs']} job(s); "
         f"shutdown {perf['shutdown']['sigint_to_exit_seconds']:.2f}s"

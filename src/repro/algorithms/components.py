@@ -64,7 +64,9 @@ def connected_components(g: CSRGraph) -> ComponentsResult:
         if np.array_equal(new, labels):
             break
         labels = new
-    num = int(len(np.unique(labels)))
+    # Each label is its component's least vertex id, so the components
+    # are counted by their roots: the vertices labelled with themselves.
+    num = int(np.count_nonzero(labels == np.arange(n)))
     return ComponentsResult(labels=labels, num_components=num)
 
 

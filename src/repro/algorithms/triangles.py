@@ -139,8 +139,14 @@ def _oriented_arcs(g: CSRGraph):
     """
     optr, onbr, arc_eid = _oriented_adjacency(g)
     arc_u = np.repeat(np.arange(g.n), np.diff(optr))
-    arc_eid = arc_eid.astype(np.int32 if g.num_edges < 2**31 else np.int64)
+    arc_eid = arc_eid.astype(edge_id_dtype(g))
     return _frozen(optr), _frozen(onbr), _frozen(arc_u), _frozen(arc_eid)
+
+
+def edge_id_dtype(g: CSRGraph) -> type:
+    """The dtype triangle edge ids of ``g`` take: int32, int64 from 2³¹
+    edges on."""
+    return np.int32 if g.num_edges < 2**31 else np.int64
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -54,8 +55,18 @@ class GridCell:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GridCell":
+        """Inverse of :meth:`to_dict`; unknown keys are ignored.
+
+        Labels are interned: replayed cells (decoded from JSON, each
+        label a fresh string) then share one copy of each scheme, metric
+        and adapter name however many tables hold them.
+        """
         known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{
+            k: sys.intern(v) if isinstance(v, str) else v
+            for k, v in data.items()
+            if k in known
+        })
 
 
 _FLOAT_FIELDS = (

@@ -5,7 +5,8 @@ vs. compressed → score with accuracy metrics".  :class:`Session` holds
 everything that loop shares across schemes — the graph, the seed policy,
 the store and worker pool, and most importantly a **baseline cache** so the
 original-graph run of each algorithm is computed once per session no
-matter how many schemes are scored against it::
+matter how many schemes are scored against it (and, with a store, once
+per graph: grids replay the stored value)::
 
     from repro import Session, pagerank
 
@@ -47,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.utils.timer import timed_call
 
+from repro.obs.metrics import counter
 from repro.obs.spans import span as _span
 
 from repro.algorithms.adapters import get_adapter
@@ -224,14 +226,15 @@ class CompressedRun:
             bfs_root=self.session.bfs_root,
         )
 
-    def _metric_value(self, entry: MetricEntry, run: _AlgorithmRun, ctx: MetricContext) -> float:
-        adapter = run.runner.adapter
+    def _metric_value(
+        self, entry: MetricEntry, runner: _Runner, a, b, ctx: MetricContext
+    ) -> float:
+        """Score canonical original/compressed values ``a``/``b``."""
+        adapter = runner.adapter
         if adapter.name == "traversal":
-            if run.runner.root is not None and run.runner.root != ctx.bfs_root:
-                ctx = MetricContext(ctx.original, ctx.compressed, run.runner.root)
+            if runner.root is not None and runner.root != ctx.bfs_root:
+                ctx = MetricContext(ctx.original, ctx.compressed, runner.root)
             return float(entry.fn(ctx, None, None))
-        a = run.runner.extract(run.out0)
-        b = run.runner.extract(run.out1)
         a, b = adapter.align(a, b, self.alignment())
         return float(entry.fn(ctx, a, b))
 
@@ -305,7 +308,11 @@ class CompressedRun:
         ctx = self._context()
         scores: dict[str, dict[str, float]] = {}
         for alg_name, run in self._runs.items():
-            adapter = run.runner.adapter
+            runner = run.runner
+            adapter = runner.adapter
+            a = b = None
+            if runner.execute:
+                a, b = runner.extract(run.out0), runner.extract(run.out1)
             if metrics is None:
                 chosen = [adapter.default_metric]
             else:
@@ -319,7 +326,7 @@ class CompressedRun:
                         f"({adapter.name} output); compatible: "
                         f"{', '.join(compatible_names(adapter.name))}"
                     )
-                out[entry.name] = self._metric_value(entry, run, ctx)
+                out[entry.name] = self._metric_value(entry, runner, a, b, ctx)
             scores[alg_name] = out
         return ScoreReport(scores)
 
@@ -358,7 +365,8 @@ class Session:
         A :class:`repro.runner.store.ArtifactStore` (or a path to create
         one at) making :meth:`grid`/:meth:`sweep` persistent: cells
         already in the store are replayed instead of recomputed, and
-        fresh cells are written back.
+        fresh cells are written back; so are the original-graph
+        baselines grids score against.
     jobs:
         Worker-process count for :meth:`grid`/:meth:`sweep`; ``jobs > 1``
         fans grid cells out over a process pool
@@ -412,6 +420,8 @@ class Session:
         self.last_grid_perf: dict = {}
         self._battery_runner_cache: list[_Runner] | None = None
         self._baselines: dict = {}
+        #: Canonical baseline values replayed from the store, by key.
+        self._stored_baselines: dict = {}
         #: Number of original-graph algorithm executions (cache misses);
         #: the baseline-reuse guarantee is observable through this counter.
         self.baseline_computations = 0
@@ -442,13 +452,14 @@ class Session:
     def fingerprint(self) -> str:
         """Content fingerprint of :attr:`graph`, the store's graph key.
 
-        A lazy session knows it without loading the graph.
+        A lazy session knows it without loading the graph; any other
+        session hashes the graph once.
         """
-        if self._fingerprint is not None:
-            return self._fingerprint
-        from repro.runner.fingerprint import graph_fingerprint
+        if self._fingerprint is None:
+            from repro.runner.fingerprint import graph_fingerprint
 
-        return graph_fingerprint(self.graph)
+            self._fingerprint = graph_fingerprint(self.graph)
+        return self._fingerprint
 
     def __repr__(self) -> str:
         if self._load is not None:
@@ -540,6 +551,36 @@ class Session:
             self._baselines[runner.key] = cached
         return cached
 
+    def _baseline_value(self, runner: _Runner) -> tuple:
+        """(canonical value, seconds) of ``runner`` on the original graph.
+
+        One lookup: the session's own memo, then the store (keyed by the
+        graph fingerprint and the canonical spec), then compute — and
+        put, so the next session over this graph replays the value.  A
+        failed put costs a later recomputation, never this grid.  A
+        store-less session reads only its raw-result memo
+        (:meth:`baseline`).
+        """
+        store = self.store if isinstance(runner.key, AlgorithmSpec) else None
+        if store is None or runner.key in self._baselines:
+            out0, t0 = self.baseline(runner)
+            return runner.extract(out0), t0
+        stored = self._stored_baselines.get(runner.key)
+        if stored is not None:
+            return stored
+        key = store.baseline_key(self.fingerprint, runner.key)
+        stored = store.get_baseline(key)
+        if stored is not None:
+            self._stored_baselines[runner.key] = stored
+            return stored
+        out0, t0 = self.baseline(runner)
+        value = runner.extract(out0)
+        try:
+            store.put_baseline(key, value, t0, adapter=runner.adapter.name)
+        except Exception:  # noqa: BLE001 — flaky disks throw anything
+            counter("repro.store.baseline_write_failures").inc()
+        return value, t0
+
     # -- compression ------------------------------------------------------- #
 
     def compress(self, scheme, *, seed=_UNSET) -> CompressedRun:
@@ -569,8 +610,8 @@ class Session:
         """Evaluate the full scheme × algorithm × metric grid.
 
         Every scheme is compressed once, every algorithm's original-graph
-        baseline is computed once for the whole grid (the session cache),
-        and every (scheme, algorithm) execution is scored with each
+        baseline is computed once for the whole grid (the session cache)
+        or replayed from the session's store, and every (scheme, algorithm) execution is scored with each
         selected metric — one tidy long-format row per triple.  Cells run
         through :func:`repro.runner.parallel.run_grid`: replayed from the
         session's store when present, then computed inline (``jobs <= 1``)
@@ -681,18 +722,18 @@ class Session:
         scheme_label = _spec_label(run.scheme)
         with _span("algorithm", algorithm=runner.label, scheme=scheme_label) as sp:
             if runner.execute:
-                out0, t0 = self.baseline(runner)
+                a, t0 = self._baseline_value(runner)
                 out1, t1 = timed_call(runner.fn, run.graph)
+                b = runner.extract(out1)
             else:
-                out0 = out1 = None
+                a = b = None
                 t0 = t1 = 0.0
-            arun = _AlgorithmRun(runner, out0, t0, out1, t1)
             cells = [
                 GridCell(
                     scheme=scheme_label,
                     algorithm=runner.label,
                     metric=entry.name,
-                    value=run._metric_value(entry, arun, ctx),
+                    value=run._metric_value(entry, runner, a, b, ctx),
                     compression_ratio=run.compression_ratio,
                     original_seconds=t0,
                     compressed_seconds=t1,

@@ -347,14 +347,19 @@ class TriangleReduction(CompressionScheme):
 
     def _discover_triangles(self, g: CSRGraph, rng):
         """Exact listing, or approximate discovery on an edge subsample."""
-        from repro.algorithms.triangles import TriangleList, list_triangles
+        from repro.algorithms.triangles import (
+            TriangleList,
+            edge_id_dtype,
+            list_triangles,
+        )
 
         if self.approx_listing_p is None:
             return list_triangles(g)
         keep = rng.random(g.num_edges) <= self.approx_listing_p
         sub = g.keep_edges(keep)
-        # Map the subsample's edge ids back to originals.
-        original_ids = np.flatnonzero(keep)
+        # Map the subsample's edge ids back to originals, in the dtype
+        # the exact listing of ``g`` uses.
+        original_ids = np.flatnonzero(keep).astype(edge_id_dtype(g))
         tl = list_triangles(sub)
         return TriangleList(original_ids[tl.edge_ids], g.edge_src, g.edge_dst)
 

@@ -23,7 +23,10 @@ Every worker keeps its own
 :class:`~repro.analytics.session.Session`, so original-graph baselines
 are computed at most once per algorithm per worker and compressions at
 most once per (scheme, seed) per worker — the same deduplication the
-inline path gets from the parent session, sharded over the pool.
+inline path gets from the parent session, sharded over the pool.  With
+a store, a worker's session opens it too and knows the parent's graph
+fingerprint, so it replays stored baselines (never hashing the graph to
+key them) and stores the ones it computes.
 
 Results are bit-compatible across routes: inline and pooled execution
 run the very same ``Session._score_cells`` code on the very same inputs,
@@ -161,9 +164,9 @@ def _max(a, b):
 def merge_workers(total: dict, workers: dict | None) -> None:
     """Fold pid-keyed worker stats into ``total``.
 
-    Cells sum; peak RSS and private (USS) bytes take the max (lifetime
-    high-water marks); the graph load time is per-process and kept from
-    first sight.
+    Cells sum; peak RSS and private (USS) bytes and the cumulative
+    baseline computations take the max (lifetime high-water marks); the
+    graph load time is per-process and kept from first sight.
     """
     for pid, stats in (workers or {}).items():
         slot = total.get(pid)
@@ -171,7 +174,7 @@ def merge_workers(total: dict, workers: dict | None) -> None:
             total[pid] = dict(stats)
             continue
         slot["cells"] += stats.get("cells", 0)
-        for key in ("peak_rss_bytes", "private_bytes"):
+        for key in ("peak_rss_bytes", "private_bytes", "baseline_computations"):
             slot[key] = _max(slot.get(key), stats.get(key))
 
 
@@ -277,7 +280,14 @@ def _load_worker_graph(path: str):
     return load_snapshot(path, mmap=True)
 
 
-def _init_worker(graph_path: str, session_kwargs: dict, trace: bool = False) -> None:
+def _init_worker(
+    graph_path: str, session_kwargs: dict, trace: bool = False, fingerprint=None
+) -> None:
+    """Map the snapshot and build this worker's session.
+
+    ``fingerprint`` is the parent's key for the graph; with it the
+    session keys stored baselines without hashing the graph.
+    """
     from repro.analytics.session import Session
 
     # Under the fork start method the child inherits the parent tracer's
@@ -290,7 +300,12 @@ def _init_worker(graph_path: str, session_kwargs: dict, trace: bool = False) -> 
     with span("worker.load_snapshot", ref=graph_path):
         with stopwatch() as sw:
             graph = _load_worker_graph(graph_path)
-    _WORKER["session"] = Session(graph, **session_kwargs)
+    if fingerprint is None:
+        _WORKER["session"] = Session(graph, **session_kwargs)
+    else:
+        _WORKER["session"] = Session._of_stored(
+            fingerprint, lambda: graph, **session_kwargs
+        )
     _WORKER["runs"] = {}
     _WORKER["load_seconds"] = sw.seconds
 
@@ -316,6 +331,8 @@ def _worker_cell(task: dict) -> tuple[dict, list[dict], dict]:
         # inflate peak_rss_bytes in every worker but not this number —
         # it is what proves "aggregate RSS ≈ one copy".
         "private_bytes": private_bytes(),
+        # Cumulative per process, so merges keep the largest sighting.
+        "baseline_computations": _WORKER["session"].baseline_computations,
     }
     if tracing_enabled():
         perf["spans"] = tracer().drain()
@@ -336,7 +353,8 @@ def _compute_cell(
     peak memory to one compressed graph per process.  Tasks are submitted
     scheme-major (seeds grouped within a scheme), so each (scheme, seed)
     compression still runs exactly once per process.  Baselines dedupe
-    through the session's own cache.
+    through the session's own cache and, with a store, its stored
+    baselines.
     """
     fault_point(
         "runner.compute_cell", scheme=task["scheme"], algorithm=task["algorithm"]
@@ -572,12 +590,16 @@ def _run_pool(
         "bfs_root": session.bfs_root,
         "pr_iterations": session.pr_iterations,
     }
+    if store is not None:
+        session_kwargs["store"] = str(store.root)
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(str(snapshot_path), session_kwargs, tracing_enabled()),
+            initargs=(
+                str(snapshot_path), session_kwargs, tracing_enabled(), fingerprint
+            ),
         )
 
     pool: ProcessPoolExecutor | None = None

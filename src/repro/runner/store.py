@@ -32,6 +32,17 @@ Payloads are JSON (`cells` + perf counters).  Graph snapshots
 (:mod:`repro.graphs.snapshot`) live under ``graphs/`` keyed by
 fingerprint, in the exploded layout pooled grid workers memory-map — the
 input graph is never re-parsed from edge lists.
+
+**Baselines.**  The original-graph run a cell compares against depends
+only on (graph, algorithm), so its canonical value (the adapter's
+``extract`` of the raw output: a float, a float64 vector or a vertex
+frozenset) is stored once under ``baselines/``, keyed by the graph
+fingerprint and the canonical AlgorithmSpec JSON.  Each record is one
+``.npz`` holding the value (a frozenset as a sorted int64 array) and a
+JSON ``meta`` string with its own ``schema_version``, the key, the
+adapter name and the original run's seconds.  Baseline records follow
+the cell records' discipline: atomic writes, ``allow_pickle=False``
+loads, and damage, a foreign key or another version read as a miss.
 """
 
 from __future__ import annotations
@@ -42,16 +53,28 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.algorithms.spec import AlgorithmSpec
 from repro.compress.spec import SchemeSpec
 from repro.graphs.csr import CSRGraph
 from repro.graphs.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.utils.fileio import atomic_write
 
-__all__ = ["SCHEMA_VERSION", "ArtifactStore", "CellKey", "StoreStats"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "BASELINE_SCHEMA_VERSION",
+    "ArtifactStore",
+    "BaselineKey",
+    "CellKey",
+    "StoreStats",
+]
 
 #: Version of the cell-record layout; bump to invalidate existing stores.
 SCHEMA_VERSION = 1
+
+#: Version of the baseline-record layout, independent of the cells'.
+BASELINE_SCHEMA_VERSION = 1
 
 
 def _canonical_json(value) -> str:
@@ -134,6 +157,43 @@ class CellKey:
         }
 
 
+@dataclass(frozen=True)
+class BaselineKey:
+    """The content identity of one stored baseline: (graph, algorithm)."""
+
+    graph: str
+    algorithm: str
+
+    @property
+    def digest(self) -> str:
+        """Hex SHA-256 of the canonical key JSON; names the record file."""
+        return hashlib.sha256(
+            _canonical_json(self.to_dict()).encode()
+        ).hexdigest()
+
+    def to_dict(self) -> dict:
+        return {"graph": self.graph, "algorithm": self.algorithm}
+
+
+def _encode_baseline(value) -> np.ndarray:
+    """A canonical baseline value as the array its record holds."""
+    if isinstance(value, frozenset):
+        return np.array(sorted(value), dtype=np.int64)
+    return np.asarray(value, dtype=np.float64)
+
+
+def _decode_baseline(adapter: str, array: np.ndarray):
+    """The canonical value back from its array; None if the shape is not
+    the one ``adapter`` stores (a damaged or foreign record)."""
+    if adapter == "vertex_set":
+        ok = array.ndim == 1 and array.dtype == np.int64
+        return frozenset(array.tolist()) if ok else None
+    scalar = adapter == "scalar"
+    if array.dtype != np.float64 or array.ndim != (0 if scalar else 1):
+        return None
+    return float(array) if scalar else array
+
+
 @dataclass
 class StoreStats:
     """Observable cache behavior of one :class:`ArtifactStore` instance.
@@ -141,7 +201,10 @@ class StoreStats:
     ``hits``/``misses`` count :meth:`ArtifactStore.get_cells` outcomes;
     ``corrupt`` counts reads that found an unreadable record (a subset of
     misses), ``invalidated`` reads rejected by schema version (also
-    misses); ``writes`` counts stored records.
+    misses); ``writes`` counts stored records.  The ``baseline_*``
+    counters are the same three for baseline records
+    (:meth:`ArtifactStore.get_baseline` / :meth:`~ArtifactStore.
+    put_baseline`); every unusable baseline record is a plain miss.
 
     Counter updates are serialized through a lock: the compression
     service shares one store across worker threads, and bare ``+= 1``
@@ -153,6 +216,9 @@ class StoreStats:
     writes: int = 0
     corrupt: int = 0
     invalidated: int = 0
+    baseline_hits: int = 0
+    baseline_misses: int = 0
+    baseline_writes: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -181,6 +247,9 @@ class StoreStats:
                 "writes": self.writes,
                 "corrupt": self.corrupt,
                 "invalidated": self.invalidated,
+                "baseline_hits": self.baseline_hits,
+                "baseline_misses": self.baseline_misses,
+                "baseline_writes": self.baseline_writes,
             }
 
 
@@ -190,6 +259,9 @@ class ArtifactStore:
     Layout under ``root`` (created on first write)::
 
         cells/<d0d1>/<digest>.json   one record per cell group
+        baselines/<d0d1>/<digest>.npz
+                                     one original-graph value per
+                                     (graph, algorithm)
         graphs/<fingerprint>.snap/   exploded CSR snapshots (header.json
                                      plus one .npy per array); a
                                      graphs/<fingerprint>.npz written by
@@ -238,11 +310,21 @@ class ArtifactStore:
             metrics=_canonical_metrics(metrics),
         )
 
+    def baseline_key(self, graph_fingerprint: str, algorithm) -> BaselineKey:
+        """Build the content key for one original-graph baseline."""
+        return BaselineKey(
+            graph=str(graph_fingerprint), algorithm=_algorithm_json(algorithm)
+        )
+
     # -- paths -------------------------------------------------------------- #
 
     def _record_path(self, key: CellKey) -> Path:
         d = key.digest
         return self.root / "cells" / d[:2] / f"{d}.json"
+
+    def _baseline_path(self, key: BaselineKey) -> Path:
+        d = key.digest
+        return self.root / "baselines" / d[:2] / f"{d}.npz"
 
     # -- cell records ------------------------------------------------------- #
 
@@ -298,6 +380,60 @@ class ArtifactStore:
             lambda fh: fh.write(json.dumps(record, sort_keys=True).encode()),
         )
         self.stats.add(writes=1)
+
+    # -- baseline records --------------------------------------------------- #
+
+    def get_baseline(self, key: BaselineKey) -> tuple | None:
+        """``(value, original seconds)`` stored for ``key``, or ``None``.
+
+        Misses cover no record, an unreadable or truncated one, another
+        schema version, a foreign key, and a value whose shape is not
+        its adapter's.  A read never raises: the caller recomputes and
+        rewrites the baseline.
+        """
+        from repro.faults.plan import fault_point
+
+        try:
+            fault_point("store.get_baseline", digest=key.digest[:12])
+            with np.load(self._baseline_path(key), allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                array = data["value"]
+            if (
+                meta.get("schema_version") != BASELINE_SCHEMA_VERSION
+                or meta.get("key") != key.to_dict()
+            ):
+                raise ValueError("foreign baseline record")
+            value = _decode_baseline(meta["adapter"], array)
+            if value is None:
+                raise ValueError("baseline value of the wrong shape")
+            seconds = float(meta["seconds"])
+        except Exception:  # noqa: BLE001 — damage and injected faults are misses
+            self.stats.add(baseline_misses=1)
+            return None
+        self.stats.add(baseline_hits=1)
+        return value, seconds
+
+    def put_baseline(
+        self, key: BaselineKey, value, seconds: float, *, adapter: str
+    ) -> None:
+        """Store one canonical baseline value under ``key``, atomically."""
+        from repro.faults.plan import fault_point
+
+        fault_point("store.put_baseline", digest=key.digest[:12])
+        meta = {
+            "schema_version": BASELINE_SCHEMA_VERSION,
+            "key": key.to_dict(),
+            "adapter": adapter,
+            "seconds": float(seconds),
+        }
+        array = _encode_baseline(value)
+        atomic_write(
+            self._baseline_path(key),
+            lambda fh: np.savez(
+                fh, value=array, meta=np.array(_canonical_json(meta))
+            ),
+        )
+        self.stats.add(baseline_writes=1)
 
     def __contains__(self, key: CellKey) -> bool:
         return self._record_path(key).exists()

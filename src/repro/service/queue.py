@@ -135,7 +135,15 @@ class JobRecord:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job finishes; False on timeout."""
-        return self._event.wait(timeout)
+        event = self._event
+        return event is None or event.wait(timeout)
+
+    def _release(self) -> None:
+        """Wake every waiter and drop the event: later waits return at
+        once, and the finished records a queue keeps stay small."""
+        event, self._event = self._event, None
+        if event is not None:
+            event.set()
 
     def summary(self) -> dict:
         """JSON-safe status view (the ``GET /jobs/<id>`` payload)."""
@@ -283,7 +291,7 @@ class JobQueue:
                 record.state = FAILED
                 record.error = state.get("error", "unknown failure")
                 record.finished_at = state.get("submitted_at")
-                record._event.set()
+                record._release()
                 self._records[record.id] = record
                 continue
             record.state = QUEUED
@@ -387,7 +395,7 @@ class JobQueue:
                 "failed", record.id, error=error, attempts=record.attempts
             )
         _latency["failed"].observe(seconds)
-        record._event.set()
+        record._release()
 
     def _run_one(self, record: JobRecord) -> None:
         with self._lock:
@@ -473,7 +481,7 @@ class JobQueue:
                     "done", record.id, seconds=sw.seconds, warm=warm
                 )
             _latency[label].observe(sw.seconds)
-            record._event.set()
+            record._release()
 
     # -- observability ------------------------------------------------------ #
 
@@ -543,7 +551,7 @@ class JobQueue:
                             record.error = "shutdown before execution"
                             record.finished_at = time.time()
                             self._inflight.pop(record.key, None)
-                            record._event.set()
+                            record._release()
                             _queue_depth.inc(-1)
                             if self.ledger is not None:
                                 self.ledger.record(

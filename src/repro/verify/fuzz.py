@@ -367,7 +367,7 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             msgs = [f"raised {type(err).__name__}: {err}"]
         return [f"{label}: {m}" for m in msgs]
 
-    checks += 7
+    checks += 8
     failures.extend(
         guarded(
             "tr_connectivity",
@@ -406,6 +406,13 @@ def _scheme_checks(case: FuzzCase, g: CSRGraph) -> tuple[int, list[str]]:
             lambda: properties.mst_derive_identity(g, seed=case.seed),
         )
     )
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        failures.extend(
+            guarded(
+                "baseline_replay_identity",
+                lambda: properties.baseline_replay_identity(g, tmp, seed=case.seed),
+            )
+        )
 
     # Streaming metamorphic invariant: every delta family × a spanner,
     # a triangle and a vertex scheme kept per generation.  The delta stream is rebuilt from

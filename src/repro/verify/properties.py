@@ -9,7 +9,8 @@ compose stage by stage, the sort-free transform fast paths are
 buffer-identical to the legacy rebuild, summarization and triangle
 listing match their references, triangle counts and MST rank orders
 derived along a sampling lineage match the direct ones, snapshot/store
-round trips are fingerprint-stable, and parallel grids equal in-memory
+round trips are fingerprint-stable, grids scored against stored
+baselines equal computed ones, and parallel grids equal in-memory
 grids.
 
 Every check returns a list of human-readable violation strings (empty =
@@ -44,6 +45,7 @@ __all__ = [
     "incremental_equivalence",
     "snapshot_roundtrip",
     "store_roundtrip",
+    "baseline_replay_identity",
     "parallel_grid_equivalence",
 ]
 
@@ -565,6 +567,62 @@ def store_roundtrip(
         out.append(
             f"warm store ran {warm.baseline_computations} baselines (expected 0)"
         )
+    return out
+
+
+#: One algorithm per executed result adapter: distribution, scalar,
+#: ordering, vertex set.
+_REPLAY_ALGORITHMS = ("pr", "cc", "sssp", "mis")
+
+
+def baseline_replay_identity(
+    g: CSRGraph,
+    directory,
+    *,
+    schemes=("uniform(p=0.5)", "vertex_sampling(p=0.5)"),
+    algorithms=_REPLAY_ALGORITHMS,
+    seed=0,
+) -> list[str]:
+    """Cells scored against a stored baseline must equal computed ones.
+
+    Three routes grid ``g`` under ``seed``: a session over a fresh store
+    (computes every baseline and stores it), one over a store another
+    seed's grid already filled with the baselines (replays them), and a
+    store-less session.  Every cell field but the two timings must match
+    (by ``repr``, so NaN equals NaN), and the replaying route must
+    compute no baseline.
+    """
+    from pathlib import Path
+
+    from repro.analytics.session import Session
+
+    def untimed(table) -> str:
+        return repr([
+            {k: v for k, v in c.to_dict().items() if not k.endswith("_seconds")}
+            for c in table
+        ])
+
+    root = Path(directory)
+    Session(g, seed=seed + 1, store=root / "filled").grid(schemes, algorithms)
+    sessions = {
+        "fresh": Session(g, seed=seed, store=root / "fresh"),
+        "replay": Session(g, seed=seed, store=root / "filled"),
+        "plain": Session(g, seed=seed),
+    }
+    tables = {
+        name: untimed(session.grid(schemes, algorithms))
+        for name, session in sessions.items()
+    }
+    out: list[str] = []
+    for name, session in sessions.items():
+        if tables[name] != tables["plain"]:
+            out.append(f"{name}-store cells differ from the store-less grid")
+        failed = session.last_grid_perf["failed_cells"]
+        if failed:
+            out.append(f"{name} grid quarantined {len(failed)} cell group(s)")
+    computed = sessions["replay"].baseline_computations
+    if computed:
+        out.append(f"replaying store ran {computed} baselines (expected 0)")
     return out
 
 

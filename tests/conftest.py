@@ -67,3 +67,15 @@ def to_networkx(g: CSRGraph):
 @pytest.fixture
 def nx_of():
     return to_networkx
+
+
+def rewrite_baseline_meta(path, **changes) -> None:
+    """Rewrite fields of a stored baseline record's ``meta`` in place,
+    keeping its value (``key=`` replaces the whole key)."""
+    import json
+
+    with np.load(path) as data:
+        value, meta = data["value"], json.loads(str(data["meta"]))
+    meta.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, value=value, meta=np.array(json.dumps(meta)))

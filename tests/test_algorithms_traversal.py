@@ -10,6 +10,7 @@ from repro.algorithms.sssp import delta_stepping, dijkstra, sssp
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.graphs.weights import with_uniform_weights
+from repro.verify.fuzz import FAMILIES, FuzzCase, build_graph
 from tests.conftest import to_networkx
 
 
@@ -71,6 +72,15 @@ class TestComponents:
         res = connected_components(g)
         assert res.num_components == 5
         assert res.sizes().tolist() == [1] * 5
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_count_is_the_number_of_distinct_labels(self, family, directed):
+        # The count is taken from the roots; it must equal the number of
+        # distinct labels it replaced.
+        for seed in (0, 1, 2):
+            res = connected_components(build_graph(FuzzCase(family, directed, False, seed)))
+            assert res.num_components == len(np.unique(res.labels))
 
     def test_largest_component(self):
         g = gen.disjoint_union(gen.path_graph(3), gen.complete_graph(5))

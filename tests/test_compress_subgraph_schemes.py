@@ -705,6 +705,19 @@ class TestApproxListingTR:
                 res.extras["mapping"], np.unique(mapping, return_inverse=True)[1]
             )
 
+    def test_approx_list_keeps_the_exact_lists_dtype(self, plc300):
+        # Mapped back to original edge ids, the list keeps the int32 ids
+        # of the exact listing: 12 bytes a triangle.
+        from repro.algorithms.triangles import list_triangles
+        from repro.compress.triangle_reduction import TriangleReduction
+
+        tl = TriangleReduction(0.5, approx_listing_p=0.6)._discover_triangles(
+            plc300, np.random.default_rng(0)
+        )
+        assert tl.count > 0
+        assert tl.edge_ids.dtype == list_triangles(plc300).edge_ids.dtype == np.int32
+        assert tl.edge_ids.nbytes == 12 * tl.count
+
     def test_validation(self):
         from repro.compress.triangle_reduction import TriangleReduction
 

@@ -70,6 +70,17 @@ class TestGrid:
         table = Session(plc300, seed=0).grid(SCHEMES3, ["pr", "cc"])
         assert SweepTable.from_dict(table.to_dict()) == table
 
+    def test_from_dict_shares_label_strings(self, plc300):
+        import json
+
+        table = Session(plc300, seed=0).grid(SCHEMES3, ["pr"])
+        # Two decodings of the same JSON share every label string.
+        a, b = (SweepTable.from_dict(json.loads(json.dumps(table.to_dict()))) for _ in "ab")
+        assert a == table
+        for x, y in zip(a, b):
+            assert x.scheme is y.scheme and x.metric is y.metric
+            assert x.adapter is y.adapter and x.algorithm is y.algorithm
+
     def test_to_csv_round_trip(self, plc300, tmp_path):
         table = Session(plc300, seed=0).grid(SCHEMES3, ["pr", "cc"])
         assert SweepTable.from_csv(table.to_csv()) == table
@@ -305,3 +316,159 @@ class TestMappingAlignment:
         run = Session(plc300, seed=0).compress("uniform(p=0.5)")
         assert run.alignment() is None
         assert vertex_alignment(run.result) is None
+
+
+def _untimed(table):
+    """Every cell field except the two wall-clock timings."""
+    return [
+        {k: v for k, v in c.to_dict().items() if not k.endswith("_seconds")}
+        for c in table
+    ]
+
+
+class TestStoredBaselines:
+    """Original-graph values replayed from the store score cells exactly
+    as computed ones do."""
+
+    SCHEMES = ["uniform(p=0.5)", "vertex_sampling(p=0.5)"]
+
+    @pytest.mark.parametrize("algorithm", ["pr", "cc", "mst", "kcore", "sssp", "mis"])
+    def test_stored_equals_computed(self, weighted300, tmp_path, algorithm):
+        computed = Session(weighted300, seed=4).grid(self.SCHEMES, [algorithm])
+        fresh = Session(weighted300, seed=4, store=tmp_path / "fresh")
+        assert _untimed(fresh.grid(self.SCHEMES, [algorithm])) == _untimed(computed)
+        assert fresh.store.stats.baseline_writes == 1
+        # Another seed's grid fills the baseline; this one misses every
+        # cell but replays it.
+        Session(weighted300, seed=3, store=tmp_path / "filled").grid(
+            self.SCHEMES, [algorithm]
+        )
+        replay = Session(weighted300, seed=4, store=tmp_path / "filled")
+        table = replay.grid(self.SCHEMES, [algorithm])
+        assert replay.last_grid_perf["cache_misses"] == len(self.SCHEMES)
+        assert replay.baseline_computations == 0
+        assert replay.store.stats.baseline_hits == 1
+        assert _untimed(table) == _untimed(computed)
+
+    def test_replayed_seconds_are_the_stored_run(self, plc300, tmp_path):
+        first = Session(plc300, seed=0, store=tmp_path)
+        (cell,) = first.grid(["uniform(p=0.5)"], ["cc"])
+        (again,) = Session(plc300, seed=1, store=tmp_path).grid(["uniform(p=0.5)"], ["cc"])
+        assert again.original_seconds == cell.original_seconds
+
+    def test_session_memo_is_read_before_the_store(self, plc300, tmp_path):
+        session = Session(plc300, seed=0, store=tmp_path)
+        session.grid(SCHEMES3, ["pr", "cc"])
+        session.grid(SCHEMES3, ["pr", "cc"], seed=1)
+        stats = session.store.stats
+        assert session.baseline_computations == 2
+        assert (stats.baseline_misses, stats.baseline_writes) == (2, 2)
+        assert stats.baseline_hits == 0
+        replay = Session(plc300, seed=2, store=tmp_path)
+        replay.grid(SCHEMES3, ["pr", "cc"])
+        replay.grid(SCHEMES3, ["pr", "cc"], seed=3)
+        assert replay.store.stats.baseline_hits == 2
+
+    def test_session_defaults_split_the_key(self, plc300, tmp_path):
+        Session(plc300, seed=0, store=tmp_path).grid(["uniform(p=0.5)"], ["pr", "sssp"])
+        other = Session(plc300, seed=1, store=tmp_path, pr_iterations=20, bfs_root=5)
+        other.grid(["uniform(p=0.5)"], ["pr", "sssp"])
+        assert other.baseline_computations == 2
+        assert other.store.stats.baseline_hits == 0
+
+    def test_public_baseline_stays_raw(self, plc300, tmp_path):
+        Session(plc300, seed=0, store=tmp_path).grid(["uniform(p=0.5)"], ["pr", "cc"])
+        session = Session(plc300, seed=1, store=tmp_path)
+        out0, _ = session.baseline("cc")
+        assert hasattr(out0, "labels")
+        run = session.compress("uniform(p=0.5)").run("pr")
+        assert hasattr(run.outputs("pr")[0], "ranks")
+        assert session.store.stats.baseline_hits == 0
+        # A grid after the raw run reads that run, not the store.
+        session.grid(["uniform(p=0.5)"], ["pr"])
+        assert session.store.stats.baseline_hits == 0
+        assert session.baseline_computations == 2
+
+    def test_failed_put_still_returns_the_grid(self, plc300, tmp_path):
+        from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan
+
+        expected = Session(plc300, seed=0).grid(SCHEMES3, ["pr", "cc"])
+        install_plan(FaultPlan(faults=(FaultSpec("store.put_baseline", times=100),)))
+        try:
+            session = Session(plc300, seed=0, store=tmp_path)
+            table = session.grid(SCHEMES3, ["pr", "cc"])
+        finally:
+            clear_plan()
+        assert _untimed(table) == _untimed(expected)
+        assert session.last_grid_perf["failed_cells"] == []
+        assert session.store.stats.baseline_writes == 0
+        assert not (tmp_path / "baselines").exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["truncate", "schema_version", "foreign_key"]
+    )
+    def test_damaged_record_is_recomputed_and_rewritten(self, plc300, tmp_path, damage):
+        from repro.runner.store import BASELINE_SCHEMA_VERSION
+        from tests.conftest import rewrite_baseline_meta
+
+        Session(plc300, seed=0, store=tmp_path).grid(["uniform(p=0.5)"], ["cc"])
+        (path,) = (tmp_path / "baselines").glob("*/*.npz")
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:40])
+        elif damage == "schema_version":
+            rewrite_baseline_meta(path, schema_version=BASELINE_SCHEMA_VERSION + 1)
+        else:
+            rewrite_baseline_meta(path, key={"graph": "0" * 64, "algorithm": "{}"})
+        session = Session(plc300, seed=1, store=tmp_path)
+        session.grid(["uniform(p=0.5)"], ["cc"])
+        assert session.baseline_computations == 1
+        assert session.store.stats.baseline_misses == 1
+        assert session.store.stats.baseline_writes == 1
+        again = Session(plc300, seed=2, store=tmp_path)
+        again.grid(["uniform(p=0.5)"], ["cc"])
+        assert again.baseline_computations == 0
+
+    def test_pooled_workers_replay_stored_baselines(self, plc300, tmp_path):
+        Session(plc300, seed=0, store=tmp_path).grid(SCHEMES3, ["pr", "cc", "sssp"])
+        inline = Session(plc300, seed=1).grid(SCHEMES3, ["pr", "cc", "sssp"])
+        pooled = Session(plc300, seed=1, store=tmp_path, jobs=2)
+        table = pooled.grid(SCHEMES3, ["pr", "cc", "sssp"])
+        assert _untimed(table) == _untimed(inline)
+        workers = pooled.last_grid_perf["workers"]
+        assert workers
+        assert all(w["baseline_computations"] == 0 for w in workers.values())
+
+    def test_pooled_workers_store_what_they_compute(self, plc300, tmp_path):
+        pooled = Session(plc300, seed=1, store=tmp_path, jobs=2)
+        pooled.grid(SCHEMES3, ["pr", "cc"])
+        workers = pooled.last_grid_perf["workers"]
+        assert sum(w["baseline_computations"] for w in workers.values()) >= 2
+        assert len(list((tmp_path / "baselines").glob("*/*.npz"))) == 2
+        replay = Session(plc300, seed=2, store=tmp_path)
+        replay.grid(SCHEMES3, ["pr", "cc"])
+        assert replay.baseline_computations == 0
+
+    def test_worker_keys_baselines_without_hashing(self, plc300, tmp_path, monkeypatch):
+        import repro.runner.fingerprint
+        from repro.runner import parallel
+        from repro.runner.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path)
+        fingerprint, path = store.add_graph(plc300)
+        Session(plc300, seed=0, store=store).grid(["uniform(p=0.5)"], ["cc"])
+
+        def refuse(g):
+            raise AssertionError("a worker hashed the graph")
+
+        monkeypatch.setattr(repro.runner.fingerprint, "_compute_fingerprint", refuse)
+        monkeypatch.setattr(parallel, "_WORKER", {})
+        kwargs = {"seed": 1, "bfs_root": 0, "pr_iterations": 100, "store": str(tmp_path)}
+        parallel._init_worker(str(path), kwargs, False, fingerprint)
+        task = parallel.CellTask(
+            scheme="uniform(p=0.5)", seed=1, algorithm="cc",
+            metrics=("relative_change",), scheme_index=0, runner_index=0,
+        )
+        _, cells, perf = parallel._worker_cell(task.transport())
+        assert len(cells) == 1
+        assert perf["worker"]["baseline_computations"] == 0
+        assert parallel._WORKER["session"].store.stats.baseline_hits == 1

@@ -127,6 +127,9 @@ class TestStoreFaultRecovery:
     def test_torn_write_is_retried_and_rewritten(
         self, plc300, tmp_path, clean_table
     ):
+        # Another seed's grid stores the baselines first, so the first
+        # write of the faulted grid is a cell record.
+        Session(plc300, seed=0, store=tmp_path / "store").grid(SCHEMES, ALGS)
         faults = (FaultSpec("fileio.atomic_write", mode="torn_write", times=1),)
         table, perf = _faulted_grid(plc300, tmp_path / "store", faults, jobs=1)
         assert _comparable(table) == clean_table
@@ -134,6 +137,25 @@ class TestStoreFaultRecovery:
         # The rewrite replaced the torn record: a warm replay still works.
         warm = Session(plc300, seed=1, store=tmp_path / "store").grid(SCHEMES, ALGS)
         assert _comparable(warm) == clean_table
+
+    def test_torn_baseline_write_is_a_later_miss(
+        self, plc300, tmp_path, clean_table
+    ):
+        # On an empty store the first write is the first baseline record:
+        # torn, it costs no cell, and the next session recomputes and
+        # rewrites it.
+        faults = (FaultSpec("fileio.atomic_write", mode="torn_write", times=1),)
+        table, perf = _faulted_grid(plc300, tmp_path / "store", faults, jobs=1)
+        assert _comparable(table) == clean_table
+        assert perf["store_write_failures"] == []
+        session = Session(plc300, seed=2, store=tmp_path / "store")
+        session.grid(SCHEMES, ALGS)
+        assert session.baseline_computations == 1
+        assert session.store.stats.baseline_misses == 1
+        assert session.store.stats.baseline_writes == 1
+        again = Session(plc300, seed=3, store=tmp_path / "store")
+        again.grid(SCHEMES, ALGS)
+        assert again.baseline_computations == 0
 
     def test_exhausted_store_writes_keep_results(self, plc300, tmp_path, clean_table):
         # Every write fails beyond the budget: the sweep must still

@@ -9,7 +9,8 @@ import pytest
 from repro.graphs import generators as gen
 from repro.graphs.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.runner.fingerprint import graph_fingerprint
-from repro.runner.store import SCHEMA_VERSION, ArtifactStore
+from repro.runner.store import BASELINE_SCHEMA_VERSION, SCHEMA_VERSION, ArtifactStore
+from tests.conftest import rewrite_baseline_meta
 
 
 @pytest.fixture
@@ -98,6 +99,121 @@ class TestStoreRoundTrip:
         store.put_cells(key, PAYLOAD)
         leftovers = list(store.root.rglob("*.tmp"))
         assert leftovers == []
+
+
+class TestBaselineRecords:
+    @pytest.mark.parametrize(
+        "adapter, value",
+        [
+            ("scalar", 7.0),
+            ("distribution", np.array([0.25, 0.5, 0.25])),
+            ("ordering", np.array([3.0, np.inf, 1.0])),
+            ("vertex_set", frozenset({4, 0, 9})),
+            ("vertex_set", frozenset()),
+        ],
+    )
+    def test_round_trip_by_adapter(self, store, adapter, value):
+        key = store.baseline_key(FP, "pr")
+        assert store.get_baseline(key) is None
+        store.put_baseline(key, value, 0.125, adapter=adapter)
+        got, seconds = store.get_baseline(key)
+        assert seconds == 0.125
+        assert type(got) is type(value)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, value)
+        else:
+            assert got == value
+        assert (store.stats.baseline_misses, store.stats.baseline_hits) == (1, 1)
+        assert store.stats.baseline_writes == 1
+        # Cell counters count cell records only.
+        assert (store.stats.hits, store.stats.misses, store.stats.writes) == (0, 0, 0)
+        assert len(store) == 0
+        path = store._baseline_path(key)
+        assert path.parent.parent.name == "baselines" and path.suffix == ".npz"
+
+    def test_spellings_share_a_key_and_parameters_split_it(self, store):
+        a = store.baseline_key(FP, "pagerank(max_iterations=50)")
+        assert a == store.baseline_key(FP, "pr(max_iterations=50)")
+        digests = {
+            a.digest,
+            store.baseline_key(FP, "pagerank(max_iterations=100)").digest,
+            store.baseline_key("0" * 64, "pagerank(max_iterations=50)").digest,
+            store.baseline_key(FP, "sssp(source=0)").digest,
+            store.baseline_key(FP, "sssp(source=3)").digest,
+        }
+        assert len(digests) == 5
+
+    def test_bare_callables_rejected(self, store):
+        with pytest.raises(TypeError, match="declarative"):
+            store.baseline_key(FP, lambda g: 0)
+
+    def test_truncated_record_is_a_miss(self, store):
+        key = store.baseline_key(FP, "cc")
+        store.put_baseline(key, 3.0, 0.5, adapter="scalar")
+        path = store._baseline_path(key)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        assert store.get_baseline(key) is None
+        path.write_bytes(b"")
+        assert store.get_baseline(key) is None
+        assert store.stats.baseline_misses == 2
+
+    def test_other_schema_version_is_a_miss(self, store):
+        key = store.baseline_key(FP, "cc")
+        store.put_baseline(key, 3.0, 0.5, adapter="scalar")
+        rewrite_baseline_meta(
+            store._baseline_path(key), schema_version=BASELINE_SCHEMA_VERSION + 1
+        )
+        assert store.get_baseline(key) is None
+
+    def test_foreign_key_is_a_miss(self, store):
+        key = store.baseline_key(FP, "cc")
+        store.put_baseline(key, 3.0, 0.5, adapter="scalar")
+        rewrite_baseline_meta(store._baseline_path(key), key={"graph": "0" * 64})
+        assert store.get_baseline(key) is None
+
+    def test_value_of_the_wrong_shape_is_a_miss(self, store):
+        key = store.baseline_key(FP, "pr")
+        store.put_baseline(key, np.array([0.5, 0.5]), 0.5, adapter="distribution")
+        rewrite_baseline_meta(store._baseline_path(key), adapter="scalar")
+        assert store.get_baseline(key) is None
+        rewrite_baseline_meta(store._baseline_path(key), adapter="vertex_set")
+        assert store.get_baseline(key) is None
+
+    def test_pickled_record_is_refused(self, store):
+        key = store.baseline_key(FP, "mis")
+        path = store._baseline_path(key)
+        path.parent.mkdir(parents=True)
+        meta = {
+            "schema_version": BASELINE_SCHEMA_VERSION,
+            "key": key.to_dict(),
+            "adapter": "vertex_set",
+            "seconds": 0.5,
+        }
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                value=np.array([frozenset({1})], dtype=object),
+                meta=np.array(json.dumps(meta)),
+            )
+        assert store.get_baseline(key) is None
+
+    def test_injected_read_fault_is_a_miss(self, store):
+        from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan
+
+        key = store.baseline_key(FP, "cc")
+        store.put_baseline(key, 3.0, 0.5, adapter="scalar")
+        install_plan(FaultPlan(faults=(FaultSpec("store.get_baseline", times=1),)))
+        try:
+            assert store.get_baseline(key) is None
+        finally:
+            clear_plan()
+        assert store.get_baseline(key) == (3.0, 0.5)
+
+    def test_no_temp_files_left_behind(self, store):
+        store.put_baseline(store.baseline_key(FP, "cc"), 3.0, 0.5, adapter="scalar")
+        assert list(store.root.rglob("*.tmp")) == []
 
 
 class TestGraphSnapshots:

@@ -247,6 +247,24 @@ class TestDedupeOverHTTP:
         assert metrics["latency"]["cold"]["count"] >= 1
         assert metrics["latency"]["warm"]["count"] >= 1
 
+    def test_cold_job_on_a_new_seed_replays_baselines(self, service):
+        """Baselines depend on (graph, algorithm) only: once one job has
+        run them, a cold job on another seed reads them from the store."""
+        base, queue = service
+        _, first = _post(base, dict(JOB_BODY, seeds=[17]))
+        assert _await(base, first["id"])["state"] == DONE
+        _, before = _get_json(base, "/metrics")
+        _, second = _post(base, dict(JOB_BODY, seeds=[19]))
+        assert _await(base, second["id"])["warm"] is False
+        _, after = _get_json(base, "/metrics")
+        _, result = _get_json(base, f"/jobs/{second['id']}/result")
+        assert [g["baseline_computations"] for g in result["perf"]["grids"]] == [0]
+        algorithms = len(JOB_BODY["algorithms"])
+        assert after["store"]["baseline_hits"] == (
+            before["store"]["baseline_hits"] + algorithms
+        )
+        assert after["store"]["baseline_writes"] == before["store"]["baseline_writes"]
+
 
 def _post_raw(base, data, headers=None):
     """POST raw bytes; (status, parsed body, response headers)."""

@@ -354,6 +354,18 @@ class TestLazyFingerprintJobs:
         with pytest.raises(ValueError, match="no snapshot"):
             execute_job(_job(graph=job.graph, seeds=[7]), store=store)
 
+    def test_cold_job_on_a_new_seed_replays_baselines(self, graph, loader, stored):
+        store, job = stored
+        execute_job(job, store=store)
+        hits = store.stats.baseline_hits
+        again = _job(graph=job.graph, seeds=[7])
+        result = execute_job(again, store=store)
+        assert result.perf["cache_misses"] == again.cell_groups()
+        assert [g["baseline_computations"] for g in result.perf["grids"]] == [0]
+        assert store.stats.baseline_hits == hits + len(again.algorithms)
+        eager = execute_job(_job(seeds=[7]), graph_loader=loader)
+        assert _values(result.table) == _values(eager.table)
+
     def test_pooled_lazy_job_matches_inline(self, graph, stored, tmp_path, monkeypatch):
         store, job = stored
         inline_store = ArtifactStore(tmp_path / "inline")

@@ -85,6 +85,26 @@ class TestLifecycle:
                 q.submit("uniform(p=0.5)")
             assert q.stats()["jobs_total"] == 0
 
+    def test_finished_record_drops_its_event(self):
+        # A waiter blocked before the finish is woken; the finished
+        # record keeps no event, and later waits return at once.
+        gate = _GatedExecutor()
+        q = JobQueue(workers=1, executor=gate)
+        try:
+            record = q.submit(_spec())
+            assert gate.started.wait(30)
+            woken = []
+            waiter = threading.Thread(target=lambda: woken.append(record.wait(30)))
+            waiter.start()
+            gate.release.set()
+            waiter.join(30)
+            assert not waiter.is_alive() and woken == [True]
+            assert record.state == DONE and record._event is None
+            assert record.wait(0) is True
+        finally:
+            gate.release.set()
+            q.close()
+
     def test_store_path_is_coerced(self, loader, tmp_path):
         with JobQueue(tmp_path / "store", workers=1, graph_loader=loader) as q:
             assert isinstance(q.store, ArtifactStore)

@@ -243,5 +243,24 @@ class TestRoundTrips:
     def test_store_roundtrip(self, plc300, tmp_path):
         assert properties.store_roundtrip(plc300, tmp_path) == []
 
+    def test_baseline_replay_identity(self, plc300, plc_weighted, tmp_path):
+        assert properties.baseline_replay_identity(plc300, tmp_path / "a") == []
+        assert properties.baseline_replay_identity(plc_weighted, tmp_path / "b") == []
+
+    def test_baseline_replay_identity_catches_a_bad_replay(self, plc300, tmp_path, monkeypatch):
+        # A store that hands back the values in the wrong order must not
+        # pass for the computed baseline.
+        import repro.runner.store
+
+        real = repro.runner.store._decode_baseline
+
+        def reversed_vectors(adapter, array):
+            value = real(adapter, array)
+            return value[::-1] if isinstance(value, np.ndarray) else value
+
+        monkeypatch.setattr(repro.runner.store, "_decode_baseline", reversed_vectors)
+        msgs = properties.baseline_replay_identity(plc300, tmp_path)
+        assert msgs == ["replay-store cells differ from the store-less grid"]
+
     def test_parallel_grid_equivalence(self, plc300):
         assert properties.parallel_grid_equivalence(plc300) == []
